@@ -6,36 +6,14 @@
 namespace sch::api {
 
 std::string BuildCache::config_fingerprint(const sim::SimConfig& c) {
-  std::ostringstream os;
-  os << "fpu_depth=" << c.fpu_depth
-     << ";fdiv=" << c.fdiv_latency
-     << ";fsqrt=" << c.fsqrt_latency
-     << ";int_mul=" << c.int_mul_latency
-     << ";int_div=" << c.int_div_latency
-     << ";fp_queue=" << c.fp_queue_depth
-     << ";seq_buffer=" << c.seq_buffer_depth
-     << ";load_latency=" << c.load_latency
-     << ";mem_latency=" << c.main_mem_latency
-     << ";mem_bw=" << c.main_mem_bytes_per_cycle
-     << ";dma_queue=" << c.dma_queue_depth
-     << ";branch_penalty=" << c.taken_branch_penalty
-     << ";strict_handoff=" << (c.strict_chain_handoff ? 1 : 0)
-     << ";cores=" << c.num_cores
-     << ";banks=" << c.tcdm.num_banks
-     << ";bank_word_log2=" << c.tcdm.bank_word_log2
-     << ";fast_arb=" << (c.tcdm.fast_arb ? 1 : 0)
-     << ";ssr_data_fifo=" << c.ssr.data_fifo_depth
-     << ";ssr_idx_queue=" << c.ssr.idx_queue_depth
-     << ";ssr_write_fifo=" << c.ssr.write_fifo_depth
-     << ";max_cycles=" << c.max_cycles
-     << ";deadlock=" << c.deadlock_cycles
-     << ";fast_forward=" << (c.fast_forward ? 1 : 0)
-     << ";fast_dispatch=" << (c.fast_dispatch ? 1 : 0);
-  // Excluded on purpose: trace, max_wall_ms and the fault plan are host
-  // observability knobs -- no build output can depend on them, and keying on
-  // the wall budget would shred hit rates across otherwise-identical fleet
-  // requests.
-  return os.str();
+  std::string fingerprint;
+  for (const sim::SimField& f : sim::kSimFields) {
+    fingerprint += f.key;
+    fingerprint += '=';
+    fingerprint += std::to_string(f.get(c));
+    fingerprint += ';';
+  }
+  return fingerprint;
 }
 
 std::string BuildCache::make_key(const std::string& kernel,

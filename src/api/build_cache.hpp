@@ -2,7 +2,7 @@
 // costs. A registry-form workload normally pays kernel generation (program
 // emission + golden-output computation) and predecode on every run; the
 // cache keys the finished, predecoded BuiltKernel by
-// (kernel, variant, resolved sizes, timing-relevant SimConfig fields) and
+// (kernel, variant, resolved sizes, every sim::kSimFields row) and
 // hands out ref-counted shared pointers, so repeated requests -- a fleet of
 // clients sweeping the same shapes, or one scenario with repeats -- skip
 // build and predecode entirely.
@@ -69,13 +69,10 @@ class BuildCache {
                               const kernels::SizeMap& resolved_sizes,
                               const sim::SimConfig& config);
 
-  /// Serialization of every timing-relevant SimConfig field (the cache-key
-  /// contract, documented in docs/SERVE.md): core/cluster shape (num_cores,
-  /// tcdm banks/word size), pipeline depths and latencies, queue depths,
-  /// memory latency/bandwidth, branch penalty, chain-handoff policy,
-  /// budgets, and the host fast-path flags. Pure observability knobs that
-  /// cannot influence a build or a report (trace, max_wall_ms, fault plans)
-  /// are deliberately excluded.
+  /// Serialization of every sim::kSimFields row (the cache-key contract,
+  /// documented in docs/SERVE.md). The observability knobs outside the
+  /// table (trace, max_wall_ms, fault plans) cannot influence a build or a
+  /// report and are therefore not keyed.
   static std::string config_fingerprint(const sim::SimConfig& config);
 
  private:

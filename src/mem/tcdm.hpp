@@ -23,15 +23,16 @@
 namespace sch {
 
 struct TcdmConfig {
+  /// A power of two, at most kMaxBanks (SimConfig::validate() enforces both).
   u32 num_banks = 32;
+  /// The reach of the 64-bit occupancy mask (the paper uses 32 banks).
+  static constexpr u32 kMaxBanks = 64;
   /// log2 of the bank word size in bytes (8-byte banks, Snitch-style).
-  u32 bank_word_log2 = 3;
+  static constexpr u32 kBankWordLog2 = 3;
   /// Track per-cycle bank occupancy in a single 64-bit mask instead of a
-  /// bank-indexed vector (possible whenever num_banks <= 64, i.e. always at
-  /// the modeled configurations). Purely a host-speed fast path: grants,
-  /// conflicts and every stat are bit-identical to the vector walk, which is
-  /// kept both as the >64-bank fallback and as the reference the
-  /// fast-path-equivalence suite pins this path against.
+  /// bank-indexed vector. Purely a host-speed fast path: grants, conflicts
+  /// and every stat are bit-identical to the vector walk, which is kept as
+  /// the reference the fast-path-equivalence suite pins this path against.
   bool fast_arb = true;
 };
 
@@ -91,7 +92,7 @@ class Tcdm {
   /// conflict. Call after begin_cycle(), before the requesters run.
   void force_bank_busy(u32 bank) {
     if (bank >= cfg_.num_banks) return;
-    if (use_mask_) {
+    if (cfg_.fast_arb) {
       busy_mask_ |= u64{1} << bank;
     } else {
       bank_busy_[bank] = true;
@@ -108,7 +109,8 @@ class Tcdm {
     // Addresses below the TCDM base would wrap through the u32 subtraction
     // into a bogus bank; callers must range-check first (see request()).
     assert(memmap::in_tcdm(addr));
-    return (static_cast<u32>(addr - memmap::kTcdmBase) >> cfg_.bank_word_log2) %
+    return (static_cast<u32>(addr - memmap::kTcdmBase) >>
+            TcdmConfig::kBankWordLog2) %
            cfg_.num_banks;
   }
 
@@ -124,11 +126,8 @@ class Tcdm {
 
  private:
   TcdmConfig cfg_;
-  /// True when per-cycle occupancy lives in busy_mask_ (fast_arb and at
-  /// most 64 banks); false selects the bank_busy_ vector walk.
-  bool use_mask_;
-  u64 busy_mask_ = 0;
-  std::vector<bool> bank_busy_;
+  u64 busy_mask_ = 0;            // per-cycle occupancy when cfg_.fast_arb,
+  std::vector<bool> bank_busy_;  // else this reference walk
   TcdmStats stats_;
 };
 

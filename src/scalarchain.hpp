@@ -48,7 +48,6 @@
 #include "scenario/scenario_runner.hpp"
 #include "serve/rollup.hpp"
 #include "serve/server.hpp"
-#include "serve/shard.hpp"
 #include "sim/simulator.hpp"
 #include "ssr/ssr_file.hpp"
 #include "verify/verify.hpp"

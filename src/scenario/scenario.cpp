@@ -1,7 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <fstream>
-#include <limits>
+#include <optional>
 #include <sstream>
 
 namespace sch::scenario {
@@ -12,7 +12,7 @@ Status type_error(const std::string& where, const char* want) {
   return Status::error("scenario: " + where + " must be " + want);
 }
 
-/// Merge `over` on top of `base` (both objects); run-level keys win.
+/// Merge `over` on top of `base` (both objects); `over`'s keys win.
 Json merge_objects(const Json& base, const Json& over) {
   Json out = Json::object();
   for (const auto& [k, v] : base.members()) {
@@ -20,6 +20,16 @@ Json merge_objects(const Json& base, const Json& over) {
   }
   for (const auto& [k, v] : over.members()) out.set(k, v);
   return out;
+}
+
+/// Probe-apply a run's merged sim object so every defect surfaces at parse
+/// time, labelled with the run.
+Status check_sim(const Json& overrides, usize run_index) {
+  sim::SimConfig probe;
+  Status s = apply_sim_overrides(overrides, probe);
+  if (s.is_ok()) return s;
+  return Status::error(s.message() + " (in runs[" + std::to_string(run_index) +
+                       "])");
 }
 
 Result<kernels::SizeMap> parse_size_object(const Json& obj, usize run_index) {
@@ -91,11 +101,10 @@ Result<RunSpec> parse_run_spec(const Json& run, usize index,
   }
   spec.sim = run_sim ? merge_objects(base_sim, *run_sim) : base_sim;
 
-  // Validate override keys/types now so a bad scenario fails before any
-  // simulation starts.
-  sim::SimConfig probe;
-  Status s = apply_sim_overrides(spec.sim, probe);
-  if (!s.is_ok()) return Status::error(s.message() + " (in " + where + ")");
+  // Validate override keys, types and ranges now so a bad scenario fails
+  // before any simulation starts.
+  Status s = check_sim(spec.sim, index);
+  if (!s.is_ok()) return s;
   return spec;
 }
 
@@ -160,56 +169,41 @@ Result<Scenario> parse_scenario(const std::string& json_text) {
   return sc;
 }
 
-Result<Scenario> load_scenario_file(const std::string& path) {
+Result<Scenario> load_scenario_file(const std::string& path,
+                                    const Json& sim_overrides) {
   std::ifstream file(path);
   if (!file) return Status::error("scenario: cannot open " + path);
   std::stringstream ss;
   ss << file.rdbuf();
   Result<Scenario> r = parse_scenario(ss.str());
   if (!r.ok()) return Status::error(path + ": " + r.status().message());
-  return r;
+  Scenario sc = std::move(r).value();
+  for (usize i = 0; i < sc.runs.size(); ++i) {
+    sc.runs[i].sim = merge_objects(sc.runs[i].sim, sim_overrides);
+    const Status s = check_sim(sc.runs[i].sim, i);
+    if (!s.is_ok()) return Status::error(path + ": " + s.message());
+  }
+  return sc;
 }
 
 Status apply_sim_overrides(const Json& overrides, sim::SimConfig& config) {
   if (overrides.is_null()) return Status::ok();
   if (!overrides.is_object()) return type_error("sim", "an object");
   for (const auto& [key, v] : overrides.members()) {
-    if (key == "strict_handoff") {
-      if (!v.is_bool()) return type_error("sim." + key, "a bool");
-      config.strict_chain_handoff = v.as_bool();
-      continue;
-    }
-    const bool is_u64_key = key == "max_cycles" || key == "deadlock_cycles";
-    const i64 min = key == "taken_branch_penalty" ? 0 : 1;
-    // u32-destined keys must be representable: a silently-truncated
-    // override would configure a different simulator than the report echoes.
-    const i64 max = is_u64_key   ? std::numeric_limits<i64>::max()
-                    : key == "cores" ? sim::SimConfig::kMaxCores
-                                     : 0xFFFFFFFFll;
-    if (!v.is_integer() || v.as_i64() < min || v.as_i64() > max) {
-      return type_error("sim." + key, min == 0 ? "a non-negative integer"
-                                               : "a positive integer in range");
-    }
-    const u64 n = static_cast<u64>(v.as_i64());
-    if (key == "fpu_depth") config.fpu_depth = static_cast<u32>(n);
-    else if (key == "fdiv_latency") config.fdiv_latency = static_cast<u32>(n);
-    else if (key == "fsqrt_latency") config.fsqrt_latency = static_cast<u32>(n);
-    else if (key == "int_mul_latency") config.int_mul_latency = static_cast<u32>(n);
-    else if (key == "int_div_latency") config.int_div_latency = static_cast<u32>(n);
-    else if (key == "fp_queue_depth") config.fp_queue_depth = static_cast<u32>(n);
-    else if (key == "seq_buffer_depth") config.seq_buffer_depth = static_cast<u32>(n);
-    else if (key == "load_latency") config.load_latency = static_cast<u32>(n);
-    else if (key == "main_mem_latency") config.main_mem_latency = static_cast<u32>(n);
-    else if (key == "main_mem_bytes_per_cycle") config.main_mem_bytes_per_cycle = static_cast<u32>(n);
-    else if (key == "dma_queue_depth") config.dma_queue_depth = static_cast<u32>(n);
-    else if (key == "taken_branch_penalty") config.taken_branch_penalty = static_cast<u32>(n);
-    else if (key == "tcdm_banks") config.tcdm.num_banks = static_cast<u32>(n);
-    else if (key == "cores") config.num_cores = static_cast<u32>(n);
-    else if (key == "max_cycles") config.max_cycles = n;
-    else if (key == "deadlock_cycles") config.deadlock_cycles = n;
-    else {
+    const sim::SimField* f = sim::find_sim_field(key);
+    if (f == nullptr) {
       return Status::error("scenario: unknown sim override \"" + key + "\"");
     }
+    const bool want_bool = f->kind == sim::SimField::kBool;
+    std::optional<u64> n;
+    if (want_bool && v.is_bool()) n = v.as_bool();
+    if (!want_bool && v.is_integer() && v.as_i64() >= 0) {
+      n = static_cast<u64>(v.as_i64());
+    }
+    if (!n || !f->accepts(*n)) {
+      return Status::error("scenario: sim." + key + " must be " + f->expected());
+    }
+    f->set(config, *n);
   }
   return Status::ok();
 }

@@ -19,9 +19,9 @@
 //   }
 //
 // `//` line comments are allowed (see scenario/json.hpp). Sim-config
-// override keys are validated against a fixed table (scenario.cpp); unknown
-// keys, kernels, variants and size parameters are hard errors, not silent
-// no-ops.
+// override keys, types and ranges are the rows of sim::kSimFields; unknown
+// keys, kernels, variants and size parameters and out-of-range values are
+// hard errors, not silent no-ops.
 #pragma once
 
 #include <string>
@@ -63,16 +63,15 @@ Result<Scenario> parse_scenario(const std::string& json_text);
 Result<RunSpec> parse_run_spec(const Json& run, usize index,
                                const Json& base_sim, u32 default_repeat);
 
-/// Read `path` and parse it.
-Result<Scenario> load_scenario_file(const std::string& path);
+/// Read `path`, parse it, and merge `sim_overrides` (e.g. the `schsim --set`
+/// pairs) over every run's "sim" object, these keys winning -- so the jobs,
+/// their report `sim` echo and the cache key all see the same values.
+Result<Scenario> load_scenario_file(const std::string& path,
+                                    const Json& sim_overrides = Json::object());
 
-/// Apply a `"sim"` override object onto `config`. Accepted keys:
-/// fpu_depth, fdiv_latency, fsqrt_latency, int_mul_latency,
-/// int_div_latency, fp_queue_depth, seq_buffer_depth, load_latency,
-/// main_mem_latency, main_mem_bytes_per_cycle, dma_queue_depth,
-/// taken_branch_penalty, tcdm_banks, cores (cluster cores,
-/// 1..SimConfig::kMaxCores), max_cycles, deadlock_cycles (integers)
-/// and strict_handoff (bool). Unknown keys or wrong types are errors.
+/// Apply a `"sim"` override object onto `config`. The accepted keys, their
+/// types and ranges are the rows of sim::kSimFields; unknown keys, wrong
+/// types and out-of-range values are errors naming the key.
 Status apply_sim_overrides(const Json& overrides, sim::SimConfig& config);
 
 } // namespace sch::scenario

@@ -122,24 +122,13 @@ Json make_report(const Scenario& scenario, const std::vector<Job>& jobs,
 Result<ScenarioOutcome> run_scenario_file(const std::string& path,
                                           const ScenarioRunOptions& options,
                                           std::ostream& log) {
-  Result<Scenario> sc = load_scenario_file(path);
+  Result<Scenario> sc = load_scenario_file(path, options.sim);
   if (!sc.ok()) return sc.status();
   const Scenario scenario = std::move(sc).value();
 
   Result<std::vector<Job>> expanded = expand(scenario);
   if (!expanded.ok()) return expanded.status();
-  std::vector<Job> jobs = std::move(expanded).value();
-  if (options.cores_override != 0) {
-    for (Job& job : jobs) job.config.num_cores = options.cores_override;
-  }
-  if (options.mem_latency_override != 0) {
-    for (Job& job : jobs) job.config.main_mem_latency = options.mem_latency_override;
-  }
-  if (options.mem_bw_override != 0) {
-    for (Job& job : jobs) {
-      job.config.main_mem_bytes_per_cycle = options.mem_bw_override;
-    }
-  }
+  const std::vector<Job> jobs = std::move(expanded).value();
 
   // --threads builds a dedicated engine; otherwise the process-wide shared
   // pool (SCH_SWEEP_THREADS / hardware concurrency) serves the batch.
@@ -156,7 +145,7 @@ Result<ScenarioOutcome> run_scenario_file(const std::string& path,
 
   log << "scenario '" << scenario.name << "': " << jobs.size() << " jobs on "
       << workers << " workers (engine: " << api::engine_name(options.engine);
-  if (options.cores_override != 0) log << ", cores: " << options.cores_override;
+  if (!options.sim.members().empty()) log << ", sim: " << options.sim.dump();
   log << ")\n";
   const std::vector<api::RunReport> reports = run_jobs(
       jobs, engine, options.engine,
@@ -186,11 +175,9 @@ Result<ScenarioOutcome> run_scenario_file(const std::string& path,
     log << "\n";
   }
 
-  outcome.report_path = !options.output_override.empty()
-                            ? options.output_override
-                        : !scenario.output.empty()
-                            ? scenario.output
-                            : "BENCH_scenario_" + scenario.name + ".json";
+  outcome.report_path = !options.output.empty()    ? options.output
+                        : !scenario.output.empty() ? scenario.output
+                        : "BENCH_scenario_" + scenario.name + ".json";
   std::ofstream os(outcome.report_path);
   if (!os) {
     return Status::error("scenario: cannot write " + outcome.report_path);

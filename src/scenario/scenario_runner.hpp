@@ -65,17 +65,12 @@ struct ScenarioOutcome {
 
 /// Front-end knobs forwarded by `schsim run`.
 struct ScenarioRunOptions {
-  std::string output_override;  // non-empty wins over the scenario's "output"
-  u32 threads = 0;              // 0 => SCH_SWEEP_THREADS / hw concurrency
+  std::string output;  // non-empty wins over the scenario's "output"
+  u32 threads = 0;     // 0 => SCH_SWEEP_THREADS / hw concurrency
   api::EngineSel engine = api::EngineSel::kCycle;
-  /// Non-zero forces every job's cluster core count (`--cores N`), winning
-  /// over any scenario "cores" override.
-  u32 cores_override = 0;
-  /// Non-zero forces every job's main-memory latency (`--mem-latency N`) /
-  /// bandwidth in bytes per cycle (`--mem-bw N`), winning over scenario
-  /// "main_mem_latency" / "main_mem_bytes_per_cycle" overrides.
-  u32 mem_latency_override = 0;
-  u32 mem_bw_override = 0;
+  /// `--set key=value` pairs, merged over every run's "sim" object by
+  /// load_scenario_file: they win over the scenario's own keys.
+  Json sim = Json::object();
   /// Consult the process-wide build cache (api::default_build_cache()) for
   /// registry builds, so repeated shapes within a sweep -- and across sweeps
   /// in one process -- skip kernel build + predecode. `--no-cache` clears it
@@ -84,8 +79,8 @@ struct ScenarioRunOptions {
 };
 
 /// Load + expand + run + report in one call (the `schsim run` entry point).
-/// When `options.output_override` and the scenario's "output" are both
-/// empty, derives "BENCH_scenario_<name>.json". Progress lines go to `log`.
+/// When `options.output` and the scenario's "output" are both empty,
+/// derives "BENCH_scenario_<name>.json". Progress lines go to `log`.
 Result<ScenarioOutcome> run_scenario_file(const std::string& path,
                                           const ScenarioRunOptions& options,
                                           std::ostream& log);

@@ -1,8 +1,8 @@
 // Minimal iostreams adapter over a POSIX file descriptor, used by the serve
-// layer to run NDJSON sessions over pipes (forked shards) and sockets (the
-// TCP listener) with the same Server::serve(istream&, ostream&) entry point
-// that stdin/stdout sessions use. Unix-only; the serve front-ends that need
-// it are compiled out elsewhere.
+// layer to run NDJSON sessions over sockets (the TCP listener) with the same
+// Server::serve(istream&, ostream&) entry point that stdin/stdout sessions
+// use. Unix-only; the serve front-end that needs it is compiled out
+// elsewhere.
 #pragma once
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -19,17 +19,14 @@ namespace sch::serve {
 
 class FdStreamBuf : public std::streambuf {
  public:
-  /// Borrows `fd` unless `own` (then the destructor closes it after a final
-  /// flush). One FdStreamBuf serves one direction; attach it to either an
-  /// istream or an ostream, not both.
-  explicit FdStreamBuf(int fd, bool own = false) : fd_(fd), own_(own) {
+  /// Borrows `fd` (the caller closes it after this buffer's final flush).
+  /// One FdStreamBuf serves one direction; attach it to either an istream
+  /// or an ostream, not both.
+  explicit FdStreamBuf(int fd) : fd_(fd) {
     setg(in_, in_, in_);
     setp(out_, out_ + sizeof(out_));
   }
-  ~FdStreamBuf() override {
-    sync();
-    if (own_) ::close(fd_);
-  }
+  ~FdStreamBuf() override { sync(); }
   FdStreamBuf(const FdStreamBuf&) = delete;
   FdStreamBuf& operator=(const FdStreamBuf&) = delete;
 
@@ -72,7 +69,6 @@ class FdStreamBuf : public std::streambuf {
   }
 
   int fd_;
-  bool own_;
   char in_[8192];
   char out_[8192];
 };

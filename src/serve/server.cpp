@@ -527,16 +527,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
                                              std::ostream& log) {
   Result<std::vector<scenario::Job>> expanded = scenario::expand(scenario);
   if (!expanded.ok()) return expanded.status();
-  std::vector<scenario::Job> jobs = std::move(expanded).value();
-  for (scenario::Job& job : jobs) {
-    if (options.cores_override != 0) job.config.num_cores = options.cores_override;
-    if (options.mem_latency_override != 0) {
-      job.config.main_mem_latency = options.mem_latency_override;
-    }
-    if (options.mem_bw_override != 0) {
-      job.config.main_mem_bytes_per_cycle = options.mem_bw_override;
-    }
-  }
+  const std::vector<scenario::Job> jobs = std::move(expanded).value();
 
   std::optional<api::Engine> own_engine;
   if (options.threads != 0) {
@@ -634,8 +625,8 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
       break;  // listener shut down (or a fatal accept error)
     }
     sessions.emplace_back([&server, &stop, lfd, cfd] {
-      FdStreamBuf ibuf(cfd, false);
-      FdStreamBuf obuf(cfd, false);
+      FdStreamBuf ibuf(cfd);
+      FdStreamBuf obuf(cfd);
       std::istream in(&ibuf);
       std::ostream out(&obuf);
       const bool shutdown_requested = server.serve(in, out);

@@ -139,9 +139,6 @@ struct ScenarioStreamOptions {
   api::EngineSel engine = api::EngineSel::kCycle;
   u32 threads = 0;
   bool use_cache = true;
-  u32 cores_override = 0;
-  u32 mem_latency_override = 0;
-  u32 mem_bw_override = 0;
 };
 
 struct StreamOutcome {
@@ -157,7 +154,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
                                              std::ostream& out,
                                              std::ostream& log);
 
-// --- line builders (shared by Server, the sharded front-end and tests) -----
+// --- line builders (shared by Server, the streaming writer and tests) ------
 
 /// One report response line: {"type":"report","id":..,"seq":k,"of":N,
 /// "cached":bool,"report":{row + sizes/sim/repeat echo}}.

@@ -1,10 +1,18 @@
 // Microarchitectural parameters of the cycle-level core model. Defaults
 // reproduce the Snitch configuration of the paper (3-stage FPU, 32-bank
-// TCDM, 3 SSRs, FREP sequencer, pseudo dual-issue).
+// TCDM, 3 SSRs, FREP sequencer, pseudo dual-issue). Every timing-relevant
+// field is also one row of kSimFields (below the struct): its "sim" key,
+// member path and legal range, the single source that validation, scenario
+// and serve parsing, the cache key and the CLI all iterate.
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
+#include "common/bitfield.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "mem/tcdm.hpp"
@@ -95,54 +103,92 @@ struct SimConfig {
   /// building on the hot path; enable for short runs only.
   bool trace = false;
 
-  /// Structural sanity check. A zero depth on any of the queues below does
-  /// not fail loudly at runtime -- it deadlocks the scoreboard or indexes an
-  /// empty ring buffer -- so configuration errors are rejected up front with
-  /// a message. Called by api::Engine before every run and by the Simulator
-  /// constructor (which throws std::invalid_argument on failure).
-  [[nodiscard]] Status validate() const {
-    if (fpu_depth == 0) {
-      return Status::error("SimConfig: fpu_depth must be >= 1 (a zero-stage "
-                           "FPU pipeline cannot hold an op in flight)");
-    }
-    if (fp_queue_depth == 0) {
-      return Status::error("SimConfig: fp_queue_depth must be >= 1 (offload "
-                           "with a zero-entry queue deadlocks the int core)");
-    }
-    if (seq_buffer_depth == 0) {
-      return Status::error("SimConfig: seq_buffer_depth must be >= 1 (the "
-                           "FREP sequencer needs ring-buffer capacity)");
-    }
-    if (tcdm.num_banks == 0) {
-      return Status::error("SimConfig: tcdm.num_banks must be >= 1 (bank "
-                           "arbitration over zero banks divides by zero)");
-    }
-    if (main_mem_latency == 0) {
-      return Status::error("SimConfig: main_mem_latency must be >= 1 (a "
-                           "zero-latency bulk memory defeats the model)");
-    }
-    if (main_mem_bytes_per_cycle == 0) {
-      return Status::error("SimConfig: main_mem_bytes_per_cycle must be >= 1 "
-                           "(zero bandwidth wedges every DMA transfer)");
-    }
-    if (dma_queue_depth == 0) {
-      return Status::error("SimConfig: dma_queue_depth must be >= 1 (a "
-                           "zero-entry DMA queue deadlocks every dmcpy)");
-    }
-    if (ssr.data_fifo_depth == 0 || ssr.idx_queue_depth == 0 ||
-        ssr.write_fifo_depth == 0) {
-      return Status::error("SimConfig: ssr FIFO depths must be >= 1 (the "
-                           "streamers are ring buffers over fixed storage)");
-    }
-    if (max_cycles == 0) {
-      return Status::error("SimConfig: max_cycles must be >= 1");
-    }
-    if (num_cores == 0 || num_cores > kMaxCores) {
-      return Status::error("SimConfig: num_cores must be in 1..64 (a cluster "
-                           "needs at least one core)");
-    }
-    return Status::ok();
-  }
+  /// Range check of every kSimFields row (below): a zero depth on any
+  /// queue does not fail loudly at runtime -- it deadlocks the scoreboard or
+  /// indexes an empty ring buffer -- and an absurd one costs minutes of host
+  /// time, so both are rejected up front with a message naming the member
+  /// path (e.g. "tcdm.num_banks"). Called by api::Engine before every run and
+  /// by the Simulator constructor (which throws std::invalid_argument on
+  /// failure).
+  [[nodiscard]] Status validate() const;
 };
+
+/// One row of the SimConfig field table. A field is settable (scenario and
+/// serve "sim" key, `schsim --set key=value`), range-checked (validate() and
+/// scenario::apply_sim_overrides) and part of the build/report cache key if
+/// and only if it is a row of kSimFields. Host observability knobs that no
+/// report can depend on -- trace, max_wall_ms, faults -- are deliberately
+/// not rows.
+struct SimField {
+  enum Kind : u8 { kInt, kPow2, kBool };
+
+  const char* key;     // "sim" key and `--set` name
+  const char* member;  // SimConfig member path, named by validate()
+  Kind kind;           // kPow2: an integer that must be a power of two
+  u64 min;
+  u64 max;
+  u64 (*get)(const SimConfig&);
+  void (*set)(SimConfig&, u64);
+
+  [[nodiscard]] constexpr bool accepts(u64 v) const {
+    return v >= min && v <= max && (kind != kPow2 || is_pow2(v));
+  }
+  /// What the field accepts: "a bool", "an integer in 1..64", ...
+  [[nodiscard]] std::string expected() const;
+};
+
+inline constexpr u64 kMaxLatency = u64{1} << 20;  // also bandwidth, penalty
+inline constexpr u64 kMaxQueueDepth = 1024;
+inline constexpr u64 kMaxFpuDepth = 64;  // host time grows with depth^2
+
+// The setter's static_asserts tie each row's kind and range to its member's
+// type, so a row can neither truncate nor mistype its field.
+#define SCH_SIM_FIELD(key, member, kind, lo, hi)                         \
+  SimField{key, #member, SimField::kind, lo, hi,                        \
+           [](const SimConfig& c) { return static_cast<u64>(c.member); }, \
+           [](SimConfig& c, u64 v) {                                    \
+             using T = decltype(c.member);                              \
+             static_assert(std::is_same_v<T, bool> ==                   \
+                           (SimField::kind == SimField::kBool));        \
+             static_assert((hi) <= std::numeric_limits<T>::max());      \
+             c.member = static_cast<T>(v);                              \
+           }}
+
+/// The table: one row per timing-relevant SimConfig field.
+inline constexpr SimField kSimFields[] = {
+    SCH_SIM_FIELD("fpu_depth", fpu_depth, kInt, 1, kMaxFpuDepth),
+    SCH_SIM_FIELD("fdiv_latency", fdiv_latency, kInt, 1, kMaxLatency),
+    SCH_SIM_FIELD("fsqrt_latency", fsqrt_latency, kInt, 1, kMaxLatency),
+    SCH_SIM_FIELD("int_mul_latency", int_mul_latency, kInt, 1, kMaxLatency),
+    SCH_SIM_FIELD("int_div_latency", int_div_latency, kInt, 1, kMaxLatency),
+    SCH_SIM_FIELD("fp_queue_depth", fp_queue_depth, kInt, 1, kMaxQueueDepth),
+    SCH_SIM_FIELD("seq_buffer_depth", seq_buffer_depth, kInt, 1, kMaxQueueDepth),
+    SCH_SIM_FIELD("load_latency", load_latency, kInt, 1, kMaxLatency),
+    SCH_SIM_FIELD("main_mem_latency", main_mem_latency, kInt, 1, kMaxLatency),
+    SCH_SIM_FIELD("main_mem_bytes_per_cycle", main_mem_bytes_per_cycle, kInt, 1,
+                  kMaxLatency),
+    SCH_SIM_FIELD("dma_queue_depth", dma_queue_depth, kInt, 1, kMaxQueueDepth),
+    SCH_SIM_FIELD("taken_branch_penalty", taken_branch_penalty, kInt, 0,
+                  kMaxLatency),
+    SCH_SIM_FIELD("strict_handoff", strict_chain_handoff, kBool, 0, 1),
+    SCH_SIM_FIELD("cores", num_cores, kInt, 1, SimConfig::kMaxCores),
+    SCH_SIM_FIELD("tcdm_banks", tcdm.num_banks, kPow2, 1, TcdmConfig::kMaxBanks),
+    SCH_SIM_FIELD("fast_arb", tcdm.fast_arb, kBool, 0, 1),
+    SCH_SIM_FIELD("ssr_data_fifo_depth", ssr.data_fifo_depth, kInt, 1,
+                  kMaxQueueDepth),
+    SCH_SIM_FIELD("ssr_idx_queue_depth", ssr.idx_queue_depth, kInt, 1,
+                  kMaxQueueDepth),
+    SCH_SIM_FIELD("ssr_write_fifo_depth", ssr.write_fifo_depth, kInt, 1,
+                  kMaxQueueDepth),
+    SCH_SIM_FIELD("max_cycles", max_cycles, kInt, 1, ~u64{0}),
+    SCH_SIM_FIELD("deadlock_cycles", deadlock_cycles, kInt, 1, ~u64{0}),
+    SCH_SIM_FIELD("fast_forward", fast_forward, kBool, 0, 1),
+    SCH_SIM_FIELD("fast_dispatch", fast_dispatch, kBool, 0, 1),
+};
+
+#undef SCH_SIM_FIELD
+
+/// The row whose key is `key`, or null.
+const SimField* find_sim_field(std::string_view key);
 
 } // namespace sch::sim

@@ -86,7 +86,7 @@ TEST(Tcdm, PerPortStats) {
 }
 
 TEST(Tcdm, ConfigurableBankCount) {
-  Tcdm t(TcdmConfig{.num_banks = 4, .bank_word_log2 = 3});
+  Tcdm t(TcdmConfig{.num_banks = 4});
   EXPECT_EQ(t.bank_of(memmap::kTcdmBase + 8 * 4), 0u);
   t.begin_cycle();
   EXPECT_TRUE(t.request(TcdmPortId::kSsr0, memmap::kTcdmBase, false));

@@ -11,12 +11,13 @@ Two modes:
   check_serve_schema.py TRANSCRIPT.ndjson [...]
       Validate saved transcripts (e.g. `schsim run --stream` output).
 
-  check_serve_schema.py --run SCHSIM [--shards N] REQUESTS.ndjson
+  check_serve_schema.py --run SCHSIM REQUESTS.ndjson
       Launch `SCHSIM serve` as a subprocess, feed it the request file on
       stdin, validate everything it writes to stdout, and additionally
-      check the protocol contract: one terminal response (done / error /
-      pong / stats / dropped / bye) per non-blank request line, and for
-      every "id"-carrying request, a terminal line echoing that id.
+      check the protocol contract (docs/SERVE.md, session FIFO order):
+      exactly one terminal response (done / error / pong / stats /
+      dropped / bye) per non-blank request line, in request order, each
+      echoing its request's "id" (null for a request without one).
 
 Exit codes: 0 ok, 1 schema violation, 2 bad input / subprocess failure.
 """
@@ -150,41 +151,32 @@ def check_transcript(path, text, request_lines=None):
         if terminals != len(expected):
             raise SchemaError(
                 f"{terminals} terminal responses for {len(expected)} requests")
-        # Every id-carrying request must get a terminal response echoing
-        # its id (order-free: shards may interleave whole responses).
-        want_ids = []
-        for req in expected:
+        # One session answers strictly in request order: the k-th terminal
+        # response echoes the k-th request's id.
+        for k, (req, got) in enumerate(zip(expected, terminal_ids)):
             try:
                 doc = json.loads(req)
             except ValueError:
-                continue  # malformed on purpose; answered with id null
-            if isinstance(doc, dict) and "id" in doc:
-                want_ids.append(doc["id"])
-        got = list(terminal_ids)
-        for want in want_ids:
-            if want in got:
-                got.remove(want)
-            else:
-                raise SchemaError(f"no terminal response for request id "
-                                  f"{want!r}")
+                doc = None  # malformed on purpose; answered with id null
+            want = doc.get("id") if isinstance(doc, dict) else None
+            if got != want:
+                raise SchemaError(f"terminal response {k + 1} has id {got!r}, "
+                                  f"expected {want!r} (request order)")
     print(f"{path}: ok ({n} lines, {reports} reports, {terminals} terminal)")
     return n, reports, terminals
 
 
-def run_mode(schsim, requests_path, shards):
+def run_mode(schsim, requests_path):
     with open(requests_path, encoding="utf-8") as f:
         request_lines = f.readlines()
     cmd = [schsim, "serve"]
-    if shards > 1:
-        cmd += ["--shards", str(shards)]
     proc = subprocess.run(cmd, input="".join(request_lines),
                           capture_output=True, text=True, timeout=300)
     if proc.returncode != 0:
         print(f"check_serve_schema: `{' '.join(cmd)}` exited "
               f"{proc.returncode}\n{proc.stderr}", file=sys.stderr)
         return 2
-    label = f"{requests_path} -> serve" + (f" --shards {shards}"
-                                           if shards > 1 else "")
+    label = f"{requests_path} -> serve"
     try:
         check_transcript(label, proc.stdout, request_lines)
     except SchemaError as e:
@@ -200,8 +192,6 @@ def main():
     parser.add_argument("--run", metavar="SCHSIM", default=None,
                         help="launch `SCHSIM serve` and validate its output "
                              "for the given request file")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="with --run: pass --shards N to the daemon")
     args = parser.parse_args()
 
     if args.run is not None:
@@ -209,7 +199,7 @@ def main():
             print("check_serve_schema: --run takes exactly one request file",
                   file=sys.stderr)
             return 2
-        return run_mode(args.run, args.paths[0], args.shards)
+        return run_mode(args.run, args.paths[0])
 
     for path in args.paths:
         try:

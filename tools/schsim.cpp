@@ -6,8 +6,7 @@
 //       tooling.
 //
 //   schsim run scenario.json [--out report.json] [--threads N]
-//              [--engine iss|cycle|both] [--cores N]
-//              [--mem-latency N] [--mem-bw N]
+//              [--engine iss|cycle|both] [--set KEY=VALUE]...
 //       Expand a declarative scenario file (kernel x variants x sizes x
 //       sim overrides x repeat) into a job batch, execute it on the unified
 //       engine's worker pool and write one JSON report (see docs/API.md).
@@ -16,14 +15,11 @@
 //         --engine iss|cycle|both
 //                               execution engine; `both` cross-checks the
 //                               ISS against the cycle-level model
-//         --cores N             force every job's cluster core count
-//                               (wins over scenario "cores" overrides)
-//         --mem-latency N       force every job's main-memory latency
-//         --mem-bw N            force every job's main-memory bandwidth
-//                               (bytes per cycle)
+//         --set KEY=VALUE       merged into every run's "sim" object,
+//                               winning over the scenario's own keys
 //
 //   schsim lint <scenario.json|program.s> [--json] [--strict]
-//               [--cores N] [--fpu-depth N]
+//               [--set KEY=VALUE]...
 //       Static verification without running a cycle: abstract-interpret
 //       every program (all jobs of a scenario file, or one assembled .s
 //       file) for chain-FIFO deadlocks, out-of-bounds/overlapping SSR
@@ -33,9 +29,8 @@
 //         --json                emit the machine-readable lint report
 //                               (schema pinned by tools/check_lint_schema.py)
 //         --strict              treat warnings as failures
-//         --cores N             cluster cores to analyze (default: scenario
-//                               "cores" override, else 1)
-//         --fpu-depth N         FPU depth (chain FIFO capacity is depth+1)
+//         --set KEY=VALUE       configuration to analyze, e.g. cores=4 or
+//                               fpu_depth=5 (chain FIFO capacity is depth+1)
 //
 //   schsim fuzz [--seed S] [--runs N] [--minimize|--no-minimize]
 //               [--engine iss|cycle|both] [--max-harts N]
@@ -64,16 +59,13 @@
 //         --trace               print the per-cycle issue trace
 //         --dataflow            print the FPU-pipeline/chain-FIFO occupancy
 //         --energy              print the energy/power report
-//         --banks N             TCDM banks (default 32)
-//         --cores N             cluster cores sharing the TCDM (default 1;
-//                               the program is replicated, split by mhartid)
-//         --fpu-depth N         FPU pipeline depth (default 3)
-//         --mem-latency N       main-memory latency in cycles (default 10)
-//         --mem-bw N            main-memory bandwidth in bytes/cycle
-//                               (default 8; bounds DMA streaming)
-//         --strict-handoff      forbid same-cycle chain pop->push handoff
-//         --max-cycles N        simulation budget
+//         --set KEY=VALUE       one SimConfig field, e.g. cores=2 (the
+//                               program is replicated, split by mhartid)
 //         --dump ADDR COUNT     print COUNT f64 words at ADDR after the run
+//
+//   --set takes every key of the SimConfig field table (sim::kSimFields;
+//   `schsim --help` lists them with their ranges). VALUE is a JSON scalar
+//   and passes the same type and range checks as a scenario "sim" entry.
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -94,22 +86,30 @@ void usage() {
   std::fprintf(stderr,
                "usage: schsim list-kernels [--json]\n"
                "       schsim run scenario.json [--out report.json] [--threads N]\n"
-               "              [--engine iss|cycle|both] [--cores N]\n"
-               "              [--mem-latency N] [--mem-bw N]\n"
+               "              [--engine iss|cycle|both] [--set KEY=VALUE]...\n"
                "              [--stream] [--no-cache]\n"
-               "       schsim serve [--threads N] [--shards N] [--port P]\n"
+               "       schsim serve [--threads N] [--port P]\n"
                "              [--build-cache N] [--report-cache N]\n"
                "              [--max-line-bytes N] [--max-jobs N]\n"
                "       schsim lint <scenario.json|program.s> [--json] [--strict]\n"
-               "              [--cores N] [--fpu-depth N]\n"
+               "              [--set KEY=VALUE]...\n"
                "       schsim fuzz [--seed S] [--runs N] [--no-minimize]\n"
                "              [--engine iss|cycle|both] [--max-harts N]\n"
                "              [--repro-dir DIR] [--replay spec.json]\n"
                "       schsim [sim] [--iss] [--trace] [--dataflow] [--energy]\n"
-               "              [--banks N] [--cores N] [--fpu-depth N]\n"
-               "              [--mem-latency N] [--mem-bw N]\n"
-               "              [--strict-handoff] [--max-cycles N]\n"
-               "              [--dump ADDR COUNT] program.s\n");
+               "              [--set KEY=VALUE]... [--dump ADDR COUNT] program.s\n"
+               "\n"
+               "--set KEY=VALUE sets one SimConfig field to a JSON scalar; on run\n"
+               "and lint it wins over the scenario's \"sim\" keys. KEY is one of:\n");
+  const sim::SimConfig defaults;
+  for (const sim::SimField& f : sim::kSimFields) {
+    const u64 d = f.get(defaults);
+    const std::string dflt = f.kind == sim::SimField::kBool
+                                 ? (d != 0 ? "true" : "false")
+                                 : std::to_string(d);
+    std::fprintf(stderr, "  %-26s %s (default %s)\n", f.key,
+                 f.expected().c_str(), dflt.c_str());
+  }
 }
 
 /// Checked unsigned parse (decimal or 0x hex). Exits with a usage error on
@@ -130,6 +130,30 @@ u64 parse_u64_arg(const char* text, const char* what, u64 min, u64 max) {
 
 u32 parse_u32_arg(const char* text, const char* what, u32 min, u32 max) {
   return static_cast<u32>(parse_u64_arg(text, what, min, max));
+}
+
+/// Add one `--set KEY=VALUE` pair to `sets` (a "sim" object). VALUE parses
+/// as a JSON scalar and passes the same key, type and range checks as a
+/// scenario "sim" entry; a malformed, invalid or repeated pair exits with a
+/// usage error.
+void add_set_arg(const char* text, scenario::Json& sets) {
+  const auto fail = [text](const std::string& why) {
+    std::fprintf(stderr, "schsim: --set %s: %s\n", text, why.c_str());
+    std::exit(2);
+  };
+  const std::string arg = text;
+  const usize eq = arg.find('=');
+  if (eq == std::string::npos) fail("expected KEY=VALUE");
+  const std::string key = arg.substr(0, eq);
+  if (sets.get(key) != nullptr) fail("\"" + key + "\" is set twice");
+  Result<scenario::Json> value = scenario::Json::parse(arg.substr(eq + 1));
+  if (!value.ok()) fail(value.status().message());
+  scenario::Json pair = scenario::Json::object();
+  pair.set(key, value.value());
+  sim::SimConfig probe;
+  const Status st = scenario::apply_sim_overrides(pair, probe);
+  if (!st.is_ok()) fail(st.message());
+  sets.set(key, std::move(value).value());
 }
 
 void print_perf(const sim::PerfCounters& p) {
@@ -229,18 +253,11 @@ int cmd_run(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--out") {
-      options.output_override = next("--out");
+      options.output = next("--out");
     } else if (arg == "--threads") {
       options.threads = parse_u32_arg(next("--threads"), "--threads", 1, 4096);
-    } else if (arg == "--cores") {
-      options.cores_override = parse_u32_arg(next("--cores"), "--cores", 1,
-                                             sim::SimConfig::kMaxCores);
-    } else if (arg == "--mem-latency") {
-      options.mem_latency_override =
-          parse_u32_arg(next("--mem-latency"), "--mem-latency", 1, 1u << 20);
-    } else if (arg == "--mem-bw") {
-      options.mem_bw_override =
-          parse_u32_arg(next("--mem-bw"), "--mem-bw", 1, 1u << 20);
+    } else if (arg == "--set") {
+      add_set_arg(next("--set"), options.sim);
     } else if (arg == "--engine") {
       const char* name = next("--engine");
       if (!api::parse_engine(name, options.engine)) {
@@ -273,7 +290,8 @@ int cmd_run(int argc, char** argv) {
     // Streamed batch: the serve-protocol NDJSON lines go to --out (or
     // stdout for `--out -`), one report line per job as it completes,
     // instead of one buffered report document at the end.
-    Result<scenario::Scenario> sc = scenario::load_scenario_file(scenario_path);
+    Result<scenario::Scenario> sc =
+        scenario::load_scenario_file(scenario_path, options.sim);
     if (!sc.ok()) {
       std::fprintf(stderr, "%s\n", sc.status().message().c_str());
       return 1;
@@ -282,18 +300,15 @@ int cmd_run(int argc, char** argv) {
     stream_options.engine = options.engine;
     stream_options.threads = options.threads;
     stream_options.use_cache = options.use_cache;
-    stream_options.cores_override = options.cores_override;
-    stream_options.mem_latency_override = options.mem_latency_override;
-    stream_options.mem_bw_override = options.mem_bw_override;
     const scenario::Scenario& scenario = sc.value();
     const bool to_stdout =
-        options.output_override.empty() || options.output_override == "-";
+        options.output.empty() || options.output == "-";
     std::ofstream file;
     if (!to_stdout) {
-      file.open(options.output_override);
+      file.open(options.output);
       if (!file) {
         std::fprintf(stderr, "schsim run: cannot write %s\n",
-                     options.output_override.c_str());
+                     options.output.c_str());
         return 1;
       }
     }
@@ -319,7 +334,6 @@ int cmd_run(int argc, char** argv) {
 
 int cmd_serve(int argc, char** argv) {
   serve::ServerOptions options;
-  u32 shards = 1;
   u32 port = 0;
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -332,8 +346,6 @@ int cmd_serve(int argc, char** argv) {
     };
     if (arg == "--threads") {
       options.threads = parse_u32_arg(next("--threads"), "--threads", 1, 4096);
-    } else if (arg == "--shards") {
-      shards = parse_u32_arg(next("--shards"), "--shards", 1, 256);
     } else if (arg == "--port") {
       port = parse_u32_arg(next("--port"), "--port", 1, 65535);
     } else if (arg == "--build-cache") {
@@ -352,11 +364,6 @@ int cmd_serve(int argc, char** argv) {
       std::fprintf(stderr, "schsim serve: unknown option: %s\n", arg.c_str());
       return 2;
     }
-  }
-  if (shards > 1) {
-    // Forks before any engine thread exists; each shard serves its slice of
-    // stdin with its own pool and caches.
-    return serve::serve_sharded(options, shards, std::cerr);
   }
   if (port != 0) {
     serve::Server server(options);
@@ -465,8 +472,7 @@ int cmd_fuzz(int argc, char** argv) {
 int cmd_lint(int argc, char** argv) {
   bool want_json = false;
   bool strict = false;
-  u32 cores_override = 0;
-  u32 fpu_depth_override = 0;
+  scenario::Json sets = scenario::Json::object();
   std::string path;
 
   for (int i = 0; i < argc; ++i) {
@@ -480,13 +486,8 @@ int cmd_lint(int argc, char** argv) {
     };
     if (arg == "--json") want_json = true;
     else if (arg == "--strict") strict = true;
-    else if (arg == "--cores") {
-      cores_override = parse_u32_arg(next("--cores"), "--cores", 1,
-                                     sim::SimConfig::kMaxCores);
-    } else if (arg == "--fpu-depth") {
-      fpu_depth_override =
-          parse_u32_arg(next("--fpu-depth"), "--fpu-depth", 1, 64);
-    } else if (arg == "--help" || arg == "-h") {
+    else if (arg == "--set") add_set_arg(next("--set"), sets);
+    else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -516,7 +517,8 @@ int cmd_lint(int argc, char** argv) {
   const bool is_scenario =
       path.size() > 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   if (is_scenario) {
-    const Result<scenario::Scenario> sc = scenario::load_scenario_file(path);
+    const Result<scenario::Scenario> sc =
+        scenario::load_scenario_file(path, sets);
     if (!sc.ok()) {
       std::fprintf(stderr, "%s: %s\n", path.c_str(),
                    sc.status().message().c_str());
@@ -531,15 +533,12 @@ int cmd_lint(int argc, char** argv) {
     }
     for (const scenario::Job& job : jobs.value()) {
       if (job.repeat_index != 0) continue;  // repeats analyze identically
-      sim::SimConfig cfg = job.config;
-      if (cores_override != 0) cfg.num_cores = cores_override;
-      if (fpu_depth_override != 0) cfg.fpu_depth = fpu_depth_override;
       LintRow row;
       row.name = job.kernel->name + "/" + job.variant;
       try {
         const kernels::BuiltKernel built =
             job.kernel->build(job.variant, job.sizes);
-        row.report = verify::analyze(built.program, cfg, &built.regions);
+        row.report = verify::analyze(built.program, job.config, &built.regions);
       } catch (const std::exception& e) {
         verify::Finding f;
         f.kind = verify::FindingKind::kAnalysisLimit;
@@ -565,8 +564,7 @@ int cmd_lint(int argc, char** argv) {
       return 2;
     }
     sim::SimConfig cfg;
-    if (cores_override != 0) cfg.num_cores = cores_override;
-    if (fpu_depth_override != 0) cfg.fpu_depth = fpu_depth_override;
+    (void)scenario::apply_sim_overrides(sets, cfg);  // checked by add_set_arg
     LintRow row;
     row.name = path;
     row.report = verify::analyze(assembled.value(), cfg);
@@ -618,6 +616,7 @@ int cmd_sim(int argc, char** argv) {
   bool use_iss = false, want_trace = false, want_dataflow = false,
        want_energy = false;
   sim::SimConfig cfg;
+  scenario::Json sets = scenario::Json::object();
   std::string path;
   Addr dump_addr = 0;
   u32 dump_count = 0;
@@ -635,24 +634,8 @@ int cmd_sim(int argc, char** argv) {
     else if (arg == "--trace") { want_trace = true; cfg.trace = true; }
     else if (arg == "--dataflow") { want_dataflow = true; cfg.trace = true; }
     else if (arg == "--energy") want_energy = true;
-    else if (arg == "--strict-handoff") cfg.strict_chain_handoff = true;
-    else if (arg == "--banks") {
-      cfg.tcdm.num_banks = parse_u32_arg(next("--banks"), "--banks", 1, 1024);
-    } else if (arg == "--cores") {
-      cfg.num_cores = parse_u32_arg(next("--cores"), "--cores", 1,
-                                    sim::SimConfig::kMaxCores);
-    } else if (arg == "--fpu-depth") {
-      cfg.fpu_depth = parse_u32_arg(next("--fpu-depth"), "--fpu-depth", 1, 64);
-    } else if (arg == "--mem-latency") {
-      cfg.main_mem_latency =
-          parse_u32_arg(next("--mem-latency"), "--mem-latency", 1, 1u << 20);
-    } else if (arg == "--mem-bw") {
-      cfg.main_mem_bytes_per_cycle =
-          parse_u32_arg(next("--mem-bw"), "--mem-bw", 1, 1u << 20);
-    } else if (arg == "--max-cycles") {
-      cfg.max_cycles = parse_u64_arg(next("--max-cycles"), "--max-cycles", 1,
-                                     ~0ull);
-    } else if (arg == "--dump") {
+    else if (arg == "--set") add_set_arg(next("--set"), sets);
+    else if (arg == "--dump") {
       dump_addr = static_cast<Addr>(
           parse_u64_arg(next("--dump"), "--dump ADDR", 0, 0xFFFFFFFFull));
       dump_count = parse_u32_arg(next("--dump COUNT"), "--dump COUNT", 1,
@@ -712,6 +695,7 @@ int cmd_sim(int argc, char** argv) {
 
   api::RunRequest request = api::RunRequest::for_program(
       std::move(program), path, use_iss ? api::EngineSel::kIss : api::EngineSel::kCycle);
+  (void)scenario::apply_sim_overrides(sets, cfg);  // checked by add_set_arg
   request.config = cfg;
   api::ProgressObserver progress(std::cout);
   api::TraceObserver tracer;
