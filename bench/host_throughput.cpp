@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
 
   // One representative per workload family (looked up through the kernel
   // registry), larger-than-paper sizes so each timing window is dominated
-  // by steady-state simulation.
+  // by steady-state simulation, plus one tiny run.
   const auto build = [](const char* kernel, const char* variant,
                         const kernels::SizeMap& overrides) {
     const kernels::KernelEntry* e = kernels::Registry::instance().find(kernel);
@@ -141,6 +141,10 @@ int main(int argc, char** argv) {
       "gemv_chained_dbuf",
       build("gemv", "chained_dbuf", {{"m", 64}, {"n", 48}, {"rtile", 8}}),
       repeat));
+  // A tiny run (165 cycles): per-run fixed cost -- memory set-up, report
+  // assembly -- dominates, so this row's gate covers it.
+  results.push_back(time_kernel(
+      "axpy_n64_chained", build("axpy", "chained", {{"n", 64}}), repeat));
 
   // Full Fig. 3 sweep wall-clock (build + simulate + validate, all 10
   // configurations), as shipped: parallel workers over self-contained runs.

@@ -1,10 +1,8 @@
 #include "api/engine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "api/build_cache.hpp"
@@ -420,25 +418,19 @@ RunReport execute(const RunRequest& request) {
       }
     }
     if (request.lockstep_compare_memory) {
-      // Raw-program fuzzing: no golden region exists, so compare the entire
-      // TCDM and main-memory images byte-for-byte (bit-exact; mismatching
-      // bytes are counted at 8-byte-word granularity to keep counts sane).
+      // Raw-program fuzzing: no golden region exists, so compare the TCDM
+      // and main-memory images bit-exactly over every page either engine
+      // wrote (counted per 8-byte word to keep counts sane).
       const auto compare_region = [&](Addr base, u32 size, const char* label) {
-        const std::vector<u8> a = iss_mem.read_block(base, size);
-        const std::vector<u8> b = sim_mem.read_block(base, size);
-        for (u32 off = 0; off < size; off += 8) {
-          const u32 chunk = std::min<u32>(8, size - off);
-          if (std::memcmp(a.data() + off, b.data() + off, chunk) != 0) {
-            ++report.lockstep_mismatches;
-            if (first.empty()) {
-              std::ostringstream os;
-              os << label << "[0x" << std::hex << base + off << std::dec
-                 << "]: iss=0x" << std::hex << iss_mem.load(base + off, chunk)
-                 << " cycle=0x" << sim_mem.load(base + off, chunk);
-              first = os.str();
-            }
-          }
+        const Memory::WordDiff d = iss_mem.diff_words(sim_mem, base, size);
+        if (d.words != 0 && first.empty()) {
+          std::ostringstream os;
+          os << label << "[0x" << std::hex << d.first << "]: iss=0x"
+             << iss_mem.load(d.first, 8) << " cycle=0x"
+             << sim_mem.load(d.first, 8);
+          first = os.str();
         }
+        report.lockstep_mismatches += d.words;
       };
       compare_region(memmap::kTcdmBase, memmap::kTcdmSize, "tcdm");
       compare_region(memmap::kMainBase, memmap::kMainSize, "main");

@@ -56,10 +56,14 @@ u8 pick(Rng& rng, const u8 (&pool)[N]) {
 }
 
 /// Per-hart main-memory scratch partition for DMA staging: 256 KiB per
-/// hart, 4 KiB per block position -- always inside the 4 MiB main window.
-Addr main_scratch(u32 hart, u32 block_index) {
-  return memmap::kMainBase + static_cast<Addr>(hart % 4) * 0x40000 +
-         static_cast<Addr>(block_index % 64) * 0x1000;
+/// hart (a page-rounded equal share of the 4 MiB main window beyond 16
+/// harts), 4 KiB per block position. Partitions never overlap, like the
+/// TCDM ones.
+Addr main_scratch(u32 hart, u32 num_harts, u32 block_index) {
+  const u32 share =
+      std::min<u32>(0x40000, (memmap::kMainSize / num_harts) & ~0xFFFu);
+  return memmap::kMainBase + hart * share +
+         (block_index % (share / 0x1000)) * 0x1000;
 }
 
 struct BlockCtx {
@@ -353,7 +357,8 @@ void emit_dma(ProgramBuilder& b, Rng& rng, const BlockCtx& ctx) {
   const Addr src = b.data_f64(vals);
   const u32 bytes = 8 * n;
   const bool to_main = rng.chance(50);
-  const Addr dst = to_main ? main_scratch(ctx.hart, ctx.index) : b.data_zero(bytes);
+  const Addr dst = to_main ? main_scratch(ctx.hart, ctx.num_harts, ctx.index)
+                           : b.data_zero(bytes);
   b.la(kT0, src);
   b.dmsrc(kT0);
   b.la(kT1, dst);

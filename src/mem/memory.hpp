@@ -3,9 +3,7 @@
 // class is only the byte store with a region map.
 #pragma once
 
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <span>
 #include <vector>
 
@@ -14,33 +12,26 @@
 
 namespace sch {
 
-/// Zero-initialized flat byte buffer backed by calloc. Large regions come
-/// from the OS as copy-on-write zero pages, so constructing a Memory costs
-/// nothing until a page is actually touched -- api::Engine builds a fresh
-/// Memory per engine per run, and eagerly memsetting ~4 MB twice dominated
-/// the wall time of short simulations.
-class ZeroedBuffer {
- public:
-  explicit ZeroedBuffer(usize size)
-      : data_(static_cast<u8*>(std::calloc(size, 1))), size_(size) {
-    if (data_ == nullptr) throw std::bad_alloc();
-  }
-  ~ZeroedBuffer() { std::free(data_); }
-  ZeroedBuffer(const ZeroedBuffer&) = delete;
-  ZeroedBuffer& operator=(const ZeroedBuffer&) = delete;
-
-  [[nodiscard]] u8* data() { return data_; }
-  [[nodiscard]] const u8* data() const { return data_; }
-  [[nodiscard]] usize size() const { return size_; }
-
- private:
-  u8* data_;
-  usize size_;
-};
-
+/// Sparse paged byte store. Each region (TCDM, main) is a table of 4 KiB
+/// page pointers. Every entry starts at one shared read-only zero page, and
+/// the first store or load_image that reaches a page allocates it. So
+/// construction only fills the table, unwritten memory reads as zero, and
+/// diff_words visits only the pages one of the two memories wrote.
 class Memory {
  public:
+  static constexpr u32 kPageSize = 4096;
+
+  /// Result of diff_words: how many 8-byte words differ, and the address of
+  /// the first (lowest) one.
+  struct WordDiff {
+    u64 words = 0;
+    Addr first = 0;
+  };
+
   Memory();
+  ~Memory();
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   /// True when [addr, addr+bytes) lies inside a mapped region.
   [[nodiscard]] bool valid(Addr addr, u32 bytes) const {
@@ -54,17 +45,27 @@ class Memory {
   /// Little-endian load, zero-extended into 64 bits. `bytes` in {1,2,4,8}.
   /// Throws std::out_of_range with a "bus error" message on unmapped
   /// access; api::Engine converts the escape into a failed RunReport.
-  /// Inline (with the throw out-of-line) so constant-size accesses on the
-  /// simulation hot paths compile to a bounds check plus one move.
+  /// Inline so constant-size accesses on the simulation hot paths compile
+  /// to a region check, a table load and one move; an access that crosses
+  /// a page boundary (nothing checks alignment) goes out of line.
   [[nodiscard]] u64 load(Addr addr, u32 bytes) const {
-    const u8* p = ptr(addr, bytes);
+    const u32 slot = slot_of(addr, bytes);
+    const u32 off = addr & kPageMask;
+    if (off + bytes > kPageSize) [[unlikely]] return load_split(addr, bytes);
     u64 v = 0;
-    std::memcpy(&v, p, bytes);
+    std::memcpy(&v, pages_[slot] + off, bytes);
     return v;
   }
   void store(Addr addr, u64 value, u32 bytes) {
-    u8* p = ptr(addr, bytes);
-    std::memcpy(p, &value, bytes);
+    const u32 slot = slot_of(addr, bytes);
+    const u32 off = addr & kPageMask;
+    if (off + bytes > kPageSize) [[unlikely]] {
+      store_split(addr, value, bytes);
+      return;
+    }
+    u8* page = pages_[slot];
+    if (page == kZeroPage) [[unlikely]] page = allocate(slot);
+    std::memcpy(page + off, &value, bytes);
   }
 
   [[nodiscard]] double load_f64(Addr addr) const;
@@ -79,32 +80,54 @@ class Memory {
   [[nodiscard]] std::vector<u8> read_block(Addr base, u32 bytes) const;
   [[nodiscard]] std::vector<double> read_f64_block(Addr base, u32 count) const;
 
+  /// Bit-exact compare of [base, base+bytes) against `other`, counted per
+  /// 8-byte word from `base` (which must be 8-byte aligned). Pages neither
+  /// memory wrote are skipped; a page only one side wrote is compared
+  /// against zeros.
+  [[nodiscard]] WordDiff diff_words(const Memory& other, Addr base,
+                                    u32 bytes) const;
+
   /// True when `addr` falls into the L1 TCDM region (bank-arbitrated).
   [[nodiscard]] static bool in_tcdm(Addr addr) { return memmap::in_tcdm(addr); }
 
  private:
-  /// Escape hatch for the inline ptr(): builds the hex message and throws
-  /// std::out_of_range (kept out-of-line so the hot path stays small).
+  static constexpr u32 kPageMask = kPageSize - 1;
+  static constexpr u32 kTcdmPages = memmap::kTcdmSize / kPageSize;
+  static constexpr u32 kMainPages = memmap::kMainSize / kPageSize;
+
+  /// Initial target of every table entry; never written.
+  static constexpr u8 kZeroPage[kPageSize] = {};
+
+  /// Escape hatch for the inline slot_of(): builds the hex message and
+  /// throws std::out_of_range (kept out-of-line so the hot path stays small).
   [[noreturn]] static void throw_bus_error(Addr addr);
 
-  [[nodiscard]] const u8* ptr(Addr addr, u32 bytes) const {
-    const u64 end = static_cast<u64>(addr) + bytes;
-    if (addr >= memmap::kTcdmBase &&
-        end <= memmap::kTcdmBase + memmap::kTcdmSize) {
-      return tcdm_.data() + (addr - memmap::kTcdmBase);
+  /// Table slot of the page holding `addr`; TCDM pages come first, then
+  /// main. Throws unless [addr, addr+bytes) lies inside one region.
+  /// `bytes` must not exceed a region's size (load/store pass at most 8).
+  /// TCDM is the fall-through: it takes nearly all hot-path accesses.
+  [[nodiscard]] static u32 slot_of(Addr addr, u32 bytes) {
+    const u32 tcdm_off = addr - memmap::kTcdmBase;
+    if (tcdm_off <= memmap::kTcdmSize - bytes) [[likely]] {
+      return tcdm_off / kPageSize;
     }
-    if (addr >= memmap::kMainBase &&
-        end <= memmap::kMainBase + memmap::kMainSize) {
-      return main_.data() + (addr - memmap::kMainBase);
+    const u32 main_off = addr - memmap::kMainBase;
+    if (main_off <= memmap::kMainSize - bytes) {
+      return kTcdmPages + main_off / kPageSize;
     }
     throw_bus_error(addr);
   }
-  [[nodiscard]] u8* ptr(Addr addr, u32 bytes) {
-    return const_cast<u8*>(static_cast<const Memory*>(this)->ptr(addr, bytes));
-  }
 
-  ZeroedBuffer tcdm_;
-  ZeroedBuffer main_;
+  /// Give `slot` its own zeroed page (first write to it).
+  u8* allocate(u32 slot);
+  [[nodiscard]] u64 load_split(Addr addr, u32 bytes) const;
+  void store_split(Addr addr, u64 value, u32 bytes);
+  /// Call fn(slot, page_offset, length, range_offset) for each page-sized
+  /// piece of [base, base+bytes), after checking the range is mapped.
+  template <typename Fn>
+  void for_each_page(Addr base, u32 bytes, Fn&& fn) const;
+
+  u8* pages_[kTcdmPages + kMainPages];
 };
 
 } // namespace sch

@@ -203,6 +203,41 @@ TEST(FaultInjection, TruncateDmaBeatCaughtByLockstepCompare) {
   EXPECT_GT(r.lockstep_mismatches, 0u);
 }
 
+TEST(FaultInjection, TruncatedBeatToPageOnlyIssWroteIsCaught) {
+  // One TCDM->main beat into a main-memory page nothing else touches: the
+  // ISS writes that page, the faulted cycle engine never does, so the
+  // memory compare must check pages either engine wrote, not just both.
+  ProgramBuilder b;
+  const Addr src = b.data_f64({1.0});
+  const Addr dst = memmap::kMainBase + 0x10000;
+  b.la(isa::kT0, src);
+  b.dmsrc(isa::kT0);
+  b.li(isa::kT1, dst);
+  b.dmdst(isa::kT1);
+  b.li(isa::kA0, 8);
+  b.dmcpy(isa::kA1, isa::kA0);
+  b.label("poll");
+  b.dmstat(isa::kA1, 1);
+  b.bnez(isa::kA1, "poll");
+  b.ecall();
+  Fault f;
+  f.kind = FaultKind::kTruncateDmaBeat;
+  f.cycle = 1;
+  f.duration = 1;
+  RunRequest req = RunRequest::for_program(b.build(), "fault/dma-main-page",
+                                           EngineSel::kBoth);
+  req.lockstep_compare_memory = true;
+  req.config.faults = plan_of(f);
+  const RunReport r = api::run(req);
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.failure.kind, FailureKind::kLockstepMismatch);
+  EXPECT_EQ(r.lockstep_mismatches, 1u);
+  EXPECT_NE(r.error.find("first: main[0x20010000]: iss=0x3ff0000000000000 "
+                         "cycle=0x0"),
+            std::string::npos)
+      << r.error;
+}
+
 TEST(FaultInjection, FaultKindNamesAreStable) {
   EXPECT_STREQ(sim::fault_kind_name(FaultKind::kFlipFpReg), "flip_fp_reg");
   EXPECT_STREQ(sim::fault_kind_name(FaultKind::kDropChainEntry),

@@ -1,6 +1,10 @@
 // Memory storage and TCDM bank-arbitration tests.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "mem/memory.hpp"
 #include "mem/tcdm.hpp"
 
@@ -40,6 +44,91 @@ TEST(Memory, ImageAndBlockReadback) {
   const std::vector<u8> img = {1, 2, 3, 4, 5};
   m.load_image(memmap::kTcdmBase + 100, img);
   EXPECT_EQ(m.read_block(memmap::kTcdmBase + 100, 5), img);
+}
+
+TEST(Memory, AccessAcrossPageBoundary) {
+  // Nothing checks alignment, so an access may straddle two 4 KiB pages;
+  // each side of the boundary must land in (and read back from) its page.
+  Memory m;
+  for (const Addr region : {memmap::kTcdmBase, memmap::kMainBase}) {
+    for (const u32 bytes : {2u, 4u, 8u}) {
+      const Addr addr = region + Memory::kPageSize * bytes - 1;
+      const u64 value = 0x8877665544332211ull >> (64 - 8 * bytes);
+      m.store(addr, value, bytes);
+      EXPECT_EQ(m.load(addr, bytes), value) << std::hex << addr;
+      EXPECT_EQ(m.load(addr, 1), value & 0xFF);
+      EXPECT_EQ(m.load(addr + bytes - 1, 1), value >> (8 * (bytes - 1)));
+      EXPECT_EQ(m.load(addr - 1, 1), 0u);
+      EXPECT_EQ(m.load(addr + bytes, 1), 0u);
+    }
+  }
+}
+
+TEST(Memory, MultiPageImageReadsUnwrittenPagesAsZero) {
+  Memory m;
+  const Addr base = memmap::kMainBase + 0x100;
+  std::vector<u8> img(2 * Memory::kPageSize + 300);
+  for (usize i = 0; i < img.size(); ++i) img[i] = static_cast<u8>(i * 7 + 1);
+  m.load_image(base, img);
+  EXPECT_EQ(m.read_block(base, static_cast<u32>(img.size())), img);
+
+  // Four pages: three the image reached, then one nothing ever wrote.
+  const std::vector<u8> all =
+      m.read_block(memmap::kMainBase, 4 * Memory::kPageSize);
+  for (usize i = 0; i < all.size(); ++i) {
+    const bool in_image = i >= 0x100 && i < 0x100 + img.size();
+    EXPECT_EQ(all[i], in_image ? img[i - 0x100] : 0) << i;
+  }
+  EXPECT_EQ(m.load(memmap::kMainBase + memmap::kMainSize - 8, 8), 0u);
+}
+
+TEST(Memory, AccessStraddlingRegionEndIsBusError) {
+  Memory m;
+  const Addr last = memmap::kTcdmBase + memmap::kTcdmSize - 4;
+  EXPECT_NO_THROW(m.store(last, 1, 4));
+  try {
+    m.store(last, 1, 8);
+    FAIL() << "store past the TCDM end did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("bus error"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)m.load(last, 8), std::out_of_range);
+  EXPECT_THROW((void)m.read_block(last, 8), std::out_of_range);
+  EXPECT_THROW(m.load_image(last, std::vector<u8>(8, 1)), std::out_of_range);
+}
+
+TEST(Memory, DiffWordsComparesPagesEitherSideWrote) {
+  Memory a;
+  Memory b;
+  EXPECT_EQ(a.diff_words(b, memmap::kMainBase, memmap::kMainSize).words, 0u);
+
+  // A page only `a` wrote, and a later page only `b` wrote: both count.
+  a.store(memmap::kMainBase + 0x10008, 0xABull, 8);
+  b.store(memmap::kMainBase + 0x20000, 1, 1);
+  b.store(memmap::kMainBase + 0x20010, 2, 4);
+  for (const bool swap : {false, true}) {
+    const Memory::WordDiff d = (swap ? b : a).diff_words(
+        swap ? a : b, memmap::kMainBase, memmap::kMainSize);
+    EXPECT_EQ(d.words, 3u);
+    EXPECT_EQ(d.first, memmap::kMainBase + 0x10008);
+  }
+  EXPECT_EQ(a.diff_words(b, memmap::kTcdmBase, memmap::kTcdmSize).words, 0u);
+
+  // Only the requested range is compared.
+  const Memory::WordDiff tail =
+      a.diff_words(b, memmap::kMainBase + 0x20008, 0x100);
+  EXPECT_EQ(tail.words, 1u);
+  EXPECT_EQ(tail.first, memmap::kMainBase + 0x20010);
+}
+
+TEST(Memory, DiffWordsZeroWrittenPageMatchesUnwritten) {
+  Memory a;
+  Memory b;
+  a.store(memmap::kTcdmBase + 0x2000, 0, 8);
+  a.load_image(memmap::kMainBase, std::vector<u8>(3 * Memory::kPageSize, 0));
+  EXPECT_EQ(a.diff_words(b, memmap::kTcdmBase, memmap::kTcdmSize).words, 0u);
+  EXPECT_EQ(b.diff_words(a, memmap::kMainBase, memmap::kMainSize).words, 0u);
 }
 
 TEST(Tcdm, BankMapping) {
