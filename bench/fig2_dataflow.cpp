@@ -93,7 +93,6 @@ loop:
 
   api::RunRequest request =
       api::RunRequest::for_program(std::move(prog), "fig2_dataflow");
-  request.config.trace = true;
   api::TraceObserver tracer;
   ChainProbe probe;
   request.observers.push_back(&tracer);

@@ -44,7 +44,6 @@ int main() {
   // touching the simulator core.
   api::RunRequest request =
       api::RunRequest::for_program(std::move(program), "pipeline_trace");
-  request.config.trace = true;  // maintain per-cycle issue/stall strings
   api::TraceObserver tracer;
   request.observers.push_back(&tracer);
 

@@ -70,9 +70,9 @@ class BuildCache {
                               const sim::SimConfig& config);
 
   /// Serialization of every sim::kSimFields row (the cache-key contract,
-  /// documented in docs/SERVE.md). The observability knobs outside the
-  /// table (trace, max_wall_ms, fault plans) cannot influence a build or a
-  /// report and are therefore not keyed.
+  /// documented in docs/SERVE.md). The host-side knobs outside the table
+  /// (max_wall_ms, fault plans) cannot influence a build and are therefore
+  /// not keyed.
   static std::string config_fingerprint(const sim::SimConfig& config);
 
  private:

@@ -86,17 +86,11 @@ void drive_simulator(sim::Simulator& simulator,
     return;
   }
   Cycle notified = 0;
-  u64 retired = 0;
   for (bool running = true; running;) {
     running = simulator.step();
     if (simulator.cycles() > notified) {
       notified = simulator.cycles();
       for (Observer* o : observers) o->on_cycle(simulator);
-      const u64 now_retired = simulator.perf().total_retired();
-      if (now_retired != retired) {
-        for (Observer* o : observers) o->on_retire(simulator, now_retired - retired);
-        retired = now_retired;
-      }
     }
   }
 }
@@ -135,7 +129,6 @@ RunReport execute(const RunRequest& request) {
   const kernels::BuiltKernel* built = nullptr;
   const Program* program = nullptr;          // single program (replicated)
   const std::vector<Program>* programs = nullptr;  // one per core
-  Validation validation = request.validation;
 
   if (request.built.has_value()) {
     built = &*request.built;
@@ -164,10 +157,8 @@ RunReport execute(const RunRequest& request) {
     }
   } else if (!request.programs.empty()) {
     programs = &request.programs;
-    validation = Validation::kNone;  // no golden reference exists
   } else if (request.program.has_value()) {
     program = &*request.program;
-    validation = Validation::kNone;  // no golden reference exists
   } else {
     return finish_failed(FailureKind::kValidation,
                          "RunRequest names no workload (kernel, built or program)");
@@ -278,8 +269,7 @@ RunReport execute(const RunRequest& request) {
                        : FailureKind::kInternal,
            report.name + ": ISS: " + e.what());
     }
-    if (report.error.empty() && validation == Validation::kGolden &&
-        built != nullptr) {
+    if (report.error.empty() && built != nullptr) {
       std::string detail;
       const u64 bad = count_mismatches(iss_mem, *built, detail);
       if (bad != 0) {
@@ -295,16 +285,11 @@ RunReport execute(const RunRequest& request) {
   Memory sim_mem;
   std::optional<sim::Simulator> simulator;
   if (request.engine == EngineSel::kCycle || request.engine == EngineSel::kBoth) {
-    // Observers see every individual cycle (on_cycle fires per step), so the
-    // stall fast-forward -- invisible in the final report but not to a
-    // per-cycle callback -- must not skip any.
-    sim::SimConfig sim_cfg = request.config;
-    if (!request.observers.empty()) sim_cfg.fast_forward = false;
     try {
       if (programs != nullptr) {
-        simulator.emplace(*programs, sim_mem, sim_cfg);
+        simulator.emplace(*programs, sim_mem, request.config);
       } else {
-        simulator.emplace(hart_program(0), sim_mem, sim_cfg);
+        simulator.emplace(hart_program(0), sim_mem, request.config);
       }
       drive_simulator(*simulator, request.observers);
     } catch (const std::invalid_argument& e) {
@@ -358,7 +343,7 @@ RunReport execute(const RunRequest& request) {
                (simulator->error().empty() ? "(no message)" : simulator->error()),
            simulator->halt_hart(), simulator->halt_pc(),
            static_cast<i64>(simulator->cycles()));
-    } else if (validation == Validation::kGolden && built != nullptr) {
+    } else if (built != nullptr) {
       std::string detail;
       const u64 bad = count_mismatches(sim_mem, *built, detail);
       if (bad != 0) {

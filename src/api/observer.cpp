@@ -2,6 +2,7 @@
 
 #include <ostream>
 
+#include "isa/disasm.hpp"
 #include "ssr/ssr_file.hpp"
 
 namespace sch::api {
@@ -9,8 +10,13 @@ namespace sch::api {
 void TraceObserver::on_cycle(const sim::Simulator& simulator) {
   sim::TraceEntry e;
   e.cycle = simulator.cycles();
-  e.int_issue = simulator.core().last_issue();
-  e.fp_issue = simulator.fp().last_issue();
+  if (const auto& in = simulator.core().last_issue()) {
+    e.int_issue = (simulator.core().last_offloaded() ? "offload " : "") +
+                  isa::disassemble(*in);
+  }
+  if (const auto& in = simulator.fp().last_issue()) {
+    e.fp_issue = isa::disassemble(*in);
+  }
   e.fp_stall = simulator.fp().last_stall();
   const sim::FpuPipeline& pipe = simulator.fp().pipeline();
   e.fpu_depth = pipe.depth();

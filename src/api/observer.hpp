@@ -4,17 +4,15 @@
 // core and needs no recompilation of the simulator. The built-in clients:
 //
 //   TraceObserver     records the Fig. 1c issue trace / Fig. 2 dataflow
-//                     snapshot per cycle (what sim::Simulator used to record
-//                     internally behind SimConfig::trace).
+//                     snapshot of hart 0 per cycle.
 //   ProgressObserver  prints one line per run start/halt to a stream
 //                     (thread-safe; usable with Engine::submit).
 //
 // Callback contract: on_run_start fires once before execution; on_cycle
-// after every simulated cycle of the cycle-level engine; on_retire whenever
-// the retired-instruction count advances; on_halt once with the finished
-// report and the final machine state -- `memory` is the view of whichever
-// engine ran (the cycle-level engine's for kCycle/kBoth, the ISS's for
-// kIss), while `simulator` is null unless the cycle-level engine ran.
+// after every simulated cycle of the cycle-level engine; on_halt once with
+// the finished report and the final machine state -- `memory` is the view of
+// whichever engine ran (the cycle-level engine's for kCycle/kBoth, the ISS's
+// for kIss), while `simulator` is null unless the cycle-level engine ran.
 // Observers attached to a submitted request are called from the worker
 // thread executing it.
 #pragma once
@@ -44,12 +42,6 @@ class Observer {
   /// After every cycle-level simulator cycle (never for kIss).
   virtual void on_cycle(const sim::Simulator& simulator) { (void)simulator; }
 
-  /// When the retired-instruction count advances, with the delta.
-  virtual void on_retire(const sim::Simulator& simulator, u64 newly_retired) {
-    (void)simulator;
-    (void)newly_retired;
-  }
-
   /// Once, with the finished report. `memory` is the final memory of
   /// whichever engine ran (cycle-level preferred for kBoth); `simulator` is
   /// null when the cycle-level engine did not run.
@@ -61,9 +53,9 @@ class Observer {
   }
 };
 
-/// Records the per-cycle issue trace and pipeline/chain/SSR occupancy
-/// snapshot from the public simulator surface. Set SimConfig::trace on the
-/// request so the core maintains the issue/stall strings this consumes.
+/// Records hart 0's per-cycle issue trace and pipeline/chain/SSR occupancy
+/// snapshot from the public simulator surface, disassembling the issued
+/// instructions as it goes.
 class TraceObserver : public Observer {
  public:
   void on_cycle(const sim::Simulator& simulator) override;
@@ -71,7 +63,7 @@ class TraceObserver : public Observer {
   [[nodiscard]] const sim::Trace& trace() const { return trace_; }
 
  private:
-  sim::Trace trace_{true};
+  sim::Trace trace_;
 };
 
 /// Prints "run <name>" / "halt <name>: ..." lines. Thread-safe, so one

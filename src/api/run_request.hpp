@@ -1,7 +1,7 @@
 // A RunRequest names one unit of execution for api::Engine: a workload (a
 // registry kernel, a prebuilt kernel, or a raw assembled program), an engine
 // selection (ISS, cycle-level, or both in lockstep), configuration
-// overrides, a validation policy and an optional set of observers. Every
+// overrides, a verification policy and an optional set of observers. Every
 // front-end -- benches, the scenario runner, schsim, tests, embedders --
 // describes work in this one vocabulary.
 #pragma once
@@ -23,12 +23,6 @@ namespace sch::api {
 class Observer;
 class BuildCache;
 
-/// Output-validation policy.
-enum class Validation : u8 {
-  kGolden,  // compare the output region against the workload's golden vector
-  kNone,    // run only (raw programs have no golden; forced to kNone)
-};
-
 /// Static-verification policy (verify::analyze before execution).
 enum class VerifyPolicy : u8 {
   kOff,     // do not run the static analyzer
@@ -38,8 +32,9 @@ enum class VerifyPolicy : u8 {
 };
 
 struct RunRequest {
-  // --- Workload: exactly one of the three forms. Precedence when several
-  // are set: prebuilt kernel > registry lookup > raw program. ---
+  // --- Workload: exactly one of the four forms. Precedence when several
+  // are set: prebuilt kernel > registry lookup > raw program(s). Kernel forms
+  // are checked against their golden output; raw programs have none. ---
 
   /// (a) Registry form: kernel family name + variant + size overrides.
   /// Sizes are resolved against the registry defaults; unknown kernels,
@@ -69,7 +64,6 @@ struct RunRequest {
   EngineSel engine = EngineSel::kCycle;
   sim::SimConfig config{};
   energy::EnergyConfig energy{};
-  Validation validation = Validation::kGolden;
 
   /// Static verification before execution. kWarn records findings in
   /// `verify_sink` (when set) and proceeds; kStrict additionally converts
@@ -127,7 +121,6 @@ struct RunRequest {
     r.program = std::move(p);
     r.label = std::move(label);
     r.engine = engine;
-    r.validation = Validation::kNone;
     return r;
   }
 
@@ -140,7 +133,6 @@ struct RunRequest {
     r.programs = std::move(programs);
     r.label = std::move(label);
     r.engine = engine;
-    r.validation = Validation::kNone;
     return r;
   }
 };

@@ -213,31 +213,6 @@ void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
   }
 }
 
-u32 Engine::startup_horizon() const {
-  u32 horizon = 0xFFFF'FFFF;
-  bool any = false;
-  for (const Channel& ch : ch_) {
-    if (ch.queue.empty()) continue;
-    any = true;
-    // A channel that has not begun its head transfer, or whose head is past
-    // startup, can move bytes (and arbitrate banks) on the very next tick.
-    if (!ch.active.started || ch.active.startup_left == 0) return 0;
-    horizon = std::min(horizon, ch.active.startup_left);
-  }
-  return any ? horizon : 0;
-}
-
-void Engine::skip_startup(u32 cycles) {
-  if (cycles == 0) return;
-  stats_.busy_cycles += cycles;  // at least one channel active per tick
-  for (Channel& ch : ch_) {
-    if (ch.queue.empty()) continue;
-    assert(ch.active.started && ch.active.startup_left >= cycles);
-    ch.active.startup_left -= cycles;
-    stats_.startup_cycles += cycles;  // one per channel per skipped tick
-  }
-}
-
 void Engine::tick(Cycle now, Tcdm& tcdm) {
   if (idle()) return;
   ++stats_.busy_cycles;

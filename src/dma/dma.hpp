@@ -167,22 +167,6 @@ class Engine {
   /// rotating order. Call once per cluster cycle.
   void tick(Cycle now, Tcdm& tcdm);
 
-  /// Cycles of provably inert work ahead: when EVERY non-empty channel's
-  /// head transfer is in its main-memory startup burn (started, with
-  /// startup_left > 0), ticking the engine only decrements counters and
-  /// bumps stats for the next `horizon` cycles -- no memory traffic, no
-  /// bank arbitration, no completion. Returns that minimum burn length, or
-  /// 0 when any channel could do real work on the next tick (not started
-  /// yet, past startup, or the engine is idle). The cluster's stall
-  /// fast-forward uses this as its event horizon.
-  [[nodiscard]] u32 startup_horizon() const;
-
-  /// Apply `cycles` ticks' worth of pure startup burn in closed form:
-  /// every non-empty channel's startup_left drops by `cycles`, with the
-  /// exact per-tick stats (busy_cycles, startup_cycles) the skipped ticks
-  /// would have recorded. Caller guarantees cycles <= startup_horizon().
-  void skip_startup(u32 cycles);
-
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
   /// Completed-transfer log, oldest first (bounded at cfg.max_records;
   /// stats().transfers_completed keeps the true total).

@@ -22,7 +22,6 @@ api::RunReport run_spec(const ProgramSpec& spec, const FuzzOptions& options) {
   api::RunRequest req;
   req.label = seed_label(spec.seed);
   req.engine = options.engine;
-  req.validation = api::Validation::kNone;
   req.lockstep_compare_memory = options.engine == api::EngineSel::kBoth;
   req.config.max_cycles = options.max_cycles;
   req.config.deadlock_cycles = options.deadlock_cycles;

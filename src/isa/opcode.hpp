@@ -1,6 +1,9 @@
 // Mnemonic-level instruction vocabulary and static metadata. The metadata
-// table drives the decoder, encoder, disassembler, functional ISS and the
-// timing model, so instruction behaviour is defined in exactly one place.
+// table (format, operand classes, execution class, FP domain, access size)
+// drives the assembler's operand parsing, the disassembler and predecode,
+// and through predecode the functional ISS and the timing model. The
+// encoder reads the format from it, but the encoder and the decoder carry
+// their own opcode/funct switches, so a new instruction touches those too.
 #pragma once
 
 #include <string_view>

@@ -147,9 +147,8 @@ Result<ScenarioOutcome> run_scenario_file(const std::string& path,
       << workers << " workers (engine: " << api::engine_name(options.engine);
   if (!options.sim.members().empty()) log << ", sim: " << options.sim.dump();
   log << ")\n";
-  const std::vector<api::RunReport> reports = run_jobs(
-      jobs, engine, options.engine,
-      options.use_cache ? &api::default_build_cache() : nullptr);
+  const std::vector<api::RunReport> reports =
+      run_jobs(jobs, engine, options.engine, &api::default_build_cache());
 
   ScenarioOutcome outcome;
   outcome.jobs = static_cast<u32>(jobs.size());

@@ -71,16 +71,14 @@ struct ScenarioRunOptions {
   /// `--set key=value` pairs, merged over every run's "sim" object by
   /// load_scenario_file: they win over the scenario's own keys.
   Json sim = Json::object();
-  /// Consult the process-wide build cache (api::default_build_cache()) for
-  /// registry builds, so repeated shapes within a sweep -- and across sweeps
-  /// in one process -- skip kernel build + predecode. `--no-cache` clears it
-  /// (bit-identical reports either way; the determinism suite pins this).
-  bool use_cache = true;
 };
 
 /// Load + expand + run + report in one call (the `schsim run` entry point).
 /// When `options.output` and the scenario's "output" are both empty,
 /// derives "BENCH_scenario_<name>.json". Progress lines go to `log`.
+/// Registry builds go through the process-wide api::default_build_cache(),
+/// so repeated shapes within a sweep -- and across sweeps in one process --
+/// skip kernel build + predecode (reports are bit-identical either way).
 Result<ScenarioOutcome> run_scenario_file(const std::string& path,
                                           const ScenarioRunOptions& options,
                                           std::ostream& log);

@@ -534,8 +534,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
     own_engine.emplace(api::EngineConfig{.threads = options.threads});
   }
   api::Engine& engine = own_engine ? *own_engine : api::default_engine();
-  api::BuildCache* cache =
-      options.use_cache ? &api::default_build_cache() : nullptr;
+  api::BuildCache* cache = &api::default_build_cache();
 
   const auto t0 = Clock::now();
   std::vector<std::future<api::RunReport>> futures;
@@ -592,7 +591,7 @@ Result<StreamOutcome> run_scenario_streaming(const scenario::Scenario& scenario,
 
 namespace sch::serve {
 
-Status serve_listen(Server& server, u16 port, u16* bound_port,
+Status serve_listen(Server& server, u16 port, std::atomic<u16>* bound_port,
                     std::ostream& log) {
   const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (lfd < 0) return Status::error("serve: socket() failed");
@@ -613,7 +612,7 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
   socklen_t len = sizeof(addr);
   ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len);
   const u16 actual = ntohs(addr.sin_port);
-  if (bound_port != nullptr) *bound_port = actual;
+  if (bound_port != nullptr) bound_port->store(actual);
   log << "serve: listening on 127.0.0.1:" << actual << "\n" << std::flush;
 
   std::atomic<bool> stop{false};
@@ -644,7 +643,7 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
 
 #else // !SCH_SERVE_HAVE_FDSTREAM
 
-Status serve_listen(Server&, u16, u16*, std::ostream&) {
+Status serve_listen(Server&, u16, std::atomic<u16>*, std::ostream&) {
   return Status::error("serve: TCP listener is unavailable on this platform "
                        "(stdin/stdout sessions still work)");
 }

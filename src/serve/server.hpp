@@ -17,6 +17,7 @@
 // response schema.
 #pragma once
 
+#include <atomic>
 #include <iosfwd>
 #include <list>
 #include <map>
@@ -125,12 +126,13 @@ class Server {
   ReportCache report_cache_;
 };
 
-/// Serve a TCP listener on 127.0.0.1:`port` (0 picks a free port, reported
-/// through `bound_port` when non-null). One thread per connection, all
-/// sharing `server` (and therefore its caches). Returns when a connection
-/// sends a shutdown op; errors (bind/listen failures) come back as a
-/// Status without touching the process.
-Status serve_listen(Server& server, u16 port, u16* bound_port,
+/// Serve a TCP listener on 127.0.0.1:`port` (0 picks a free port). When
+/// non-null, `bound_port` receives the bound port before the first accept,
+/// so another thread can poll it while this call blocks. One thread per
+/// connection, all sharing `server` (and therefore its caches). Returns
+/// when a connection sends a shutdown op; errors (bind/listen failures)
+/// come back as a Status without touching the process.
+Status serve_listen(Server& server, u16 port, std::atomic<u16>* bound_port,
                     std::ostream& log);
 
 // --- streaming writer reuse (schsim run --stream) --------------------------
@@ -138,7 +140,6 @@ Status serve_listen(Server& server, u16 port, u16* bound_port,
 struct ScenarioStreamOptions {
   api::EngineSel engine = api::EngineSel::kCycle;
   u32 threads = 0;
-  bool use_cache = true;
 };
 
 struct StreamOutcome {

@@ -177,33 +177,6 @@ bool Cluster::step() {
       return false;
     }
   }
-  // Stall fast-forward: with every core drained (halted cores' ticks are
-  // strict no-ops) and every DMA channel burning provably inert startup
-  // latency, the next `horizon` ticks change nothing but counters. Jump
-  // them in closed form and run the final burn cycle through the normal
-  // tick so the epilogue below observes the exact slow-path states. Only
-  // legal when nothing can watch individual cycles: api::Engine clears
-  // fast_forward when observers are attached, and fault plans / tracing
-  // disable it here (a fault could land mid-burn; a trace records every
-  // cycle).
-  if (cfg_.fast_forward && cfg_.faults == nullptr && !cfg_.trace &&
-      fully_halted()) {
-    const u32 horizon = dma_.startup_horizon();
-    if (horizon > 1) {
-      u64 skip = horizon - 1;
-      // Keep the tick that crosses the cycle budget real as well.
-      const u64 budget_room =
-          cfg_.max_cycles > cycle_ + 1 ? cfg_.max_cycles - cycle_ - 1 : 0;
-      skip = std::min<u64>(skip, budget_room);
-      if (skip > 0) {
-        dma_.skip_startup(static_cast<u32>(skip));
-        cycle_ += skip;
-        // The watchdog re-baselines on the next tick: startup_cycles grew,
-        // so `retired` differs and last_progress_* snap to the new cycle,
-        // exactly as they would have tick by tick.
-      }
-    }
-  }
   tick();
   if (halt_ != HaltReason::kNone) return false;
   // The cluster keeps ticking a draining DMA queue after every core has

@@ -21,12 +21,7 @@ FpSubsystem::FpSubsystem(const SimConfig& cfg, Memory& mem, Tcdm& tcdm,
       pipe_(cfg.fpu_depth),
       chain_(cfg.strict_chain_handoff),
       streamers_{ssr::Streamer(cfg.ssr), ssr::Streamer(cfg.ssr),
-                 ssr::Streamer(cfg.ssr)},
-      trace_(cfg.trace) {}
-
-void FpSubsystem::note_issue(const isa::Instr& in) {
-  if (trace_) last_issue_ = isa::disassemble(in);
-}
+                 ssr::Streamer(cfg.ssr)} {}
 
 bool FpSubsystem::quiescent() const {
   if (!seq_.idle() || latch_.has_value() || !pipe_.empty() || div_.busy ||
@@ -68,7 +63,7 @@ u32 FpSubsystem::cfg_read(i32 index) const {
 void FpSubsystem::begin_cycle(Cycle now) {
   chain_.begin_cycle();
   for (ssr::Streamer& s : streamers_) s.begin_cycle(now);
-  if (trace_) last_issue_.clear();
+  last_issue_.reset();
   last_stall_ = "";
 }
 

@@ -95,9 +95,10 @@ class FpSubsystem {
   [[nodiscard]] chain::ChainUnit& chain_mut() { return chain_; }
   [[nodiscard]] const FpuPipeline& pipeline() const { return pipe_; }
   [[nodiscard]] const Sequencer& sequencer() const { return seq_; }
-  /// Disassembly of the op issued this cycle ("" if none) for the trace.
-  /// Only maintained when SimConfig::trace is set.
-  [[nodiscard]] const std::string& last_issue() const { return last_issue_; }
+  /// The op issued this cycle, if any (api::TraceObserver renders it).
+  [[nodiscard]] const std::optional<isa::Instr>& last_issue() const {
+    return last_issue_;
+  }
   /// Stall cause tag of this cycle ("" if none). Stored as a pointer to a
   /// string literal so the hot loop never touches a std::string.
   [[nodiscard]] const char* last_stall() const { return last_stall_; }
@@ -119,8 +120,9 @@ class FpSubsystem {
   };
 
   void fail(const std::string& message) { if (error_.empty()) error_ = message; }
-  /// Record this cycle's issued op for the trace (no-op unless tracing).
-  void note_issue(const isa::Instr& in);
+  /// Record this cycle's issued op. A copy: the caller pops its sequencer
+  /// slot right after.
+  void note_issue(const isa::Instr& in) { last_issue_ = in; }
 
   /// Classify a source register under current SSR/chain mappings.
   SrcKind classify_src(u8 reg) const;
@@ -163,8 +165,7 @@ class FpSubsystem {
   std::optional<LatchEntry> latch_;
   std::function<void(const IntWriteback&)> int_wb_;
   std::string error_;
-  const bool trace_;
-  std::string last_issue_;
+  std::optional<isa::Instr> last_issue_;
   const char* last_stall_ = "";
   u64 issue_seq_ = 0;
 };

@@ -18,7 +18,7 @@ IntCore::IntCore(const Program& prog, Memory& mem, Tcdm& tcdm,
                  const SimConfig& cfg, PerfCounters& perf, FpSubsystem& fp,
                  u32 hartid, dma::Engine* dma)
     : prog_(prog), mem_(mem), tcdm_(tcdm), cfg_(cfg), perf_(perf), fp_(fp),
-      dma_(dma), trace_(cfg.trace), hartid_(hartid),
+      dma_(dma), hartid_(hartid),
       lsu_req_(Tcdm::requester_id(hartid, TcdmPortId::kCoreLsu)),
       pc_(prog.text_base) {}
 
@@ -28,10 +28,6 @@ void IntCore::fail(const std::string& message) {
   std::ostringstream os;
   os << "pc=0x" << std::hex << pc_ << std::dec << ": " << message;
   error_ = os.str();
-}
-
-void IntCore::note_issue(const Instr& in) {
-  if (trace_) last_issue_ = isa::disassemble(in);
 }
 
 void IntCore::schedule_write(u8 rd, u32 value, Cycle ready_at) {
@@ -126,7 +122,7 @@ void IntCore::exec_offload(const Instr& in, const PredecodedInstr& pre,
   if (writes_int && in.rd != 0) busy_x_[in.rd] = true;
   fp_.offload(op);
   ++perf_.offloads;
-  if (trace_) last_issue_ = "offload " + isa::disassemble(in);
+  note_issue(in, /*offloaded=*/true);
   pc_ += 4;
 }
 
@@ -666,7 +662,7 @@ const IntCore::Handler
 };
 
 void IntCore::tick(Cycle now, CorePort& port) {
-  if (trace_) last_issue_.clear();
+  last_issue_.reset();
   if (halt_ != HaltReason::kNone) return;
   if (now < div_busy_until_) {
     ++perf_.int_div_busy;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
 
 #include "asm/program.hpp"
@@ -53,9 +54,12 @@ class IntCore {
 
   [[nodiscard]] const std::array<u32, isa::kNumIntRegs>& regs() const { return x_; }
   [[nodiscard]] Addr pc() const { return pc_; }
-  /// Disassembly of this cycle's integer-core action (trace support; only
-  /// maintained when SimConfig::trace is set).
-  [[nodiscard]] const std::string& last_issue() const { return last_issue_; }
+  /// The instruction issued this cycle, if any, and whether it was offloaded
+  /// to the FP subsystem (api::TraceObserver renders both).
+  [[nodiscard]] const std::optional<isa::Instr>& last_issue() const {
+    return last_issue_;
+  }
+  [[nodiscard]] bool last_offloaded() const { return last_offloaded_; }
 
  private:
   struct Pending {
@@ -75,7 +79,10 @@ class IntCore {
     if (r != 0) x_[r] = v;
   }
   [[nodiscard]] bool ready_x(u8 r) const { return !busy_x_[r]; }
-  void note_issue(const isa::Instr& in);
+  void note_issue(const isa::Instr& in, bool offloaded = false) {
+    last_issue_ = in;
+    last_offloaded_ = offloaded;
+  }
 
   void exec_offload(const isa::Instr& in, const isa::PredecodedInstr& pre,
                     Cycle now);
@@ -126,7 +133,6 @@ class IntCore {
   PerfCounters& perf_;
   FpSubsystem& fp_;
   dma::Engine* dma_;
-  const bool trace_;
   const u32 hartid_;
   const u32 lsu_req_; // this core's LSU requester id in the shared TCDM
 
@@ -141,7 +147,8 @@ class IntCore {
   Cycle div_busy_until_ = 0;
   HaltReason halt_ = HaltReason::kNone;
   std::string error_;
-  std::string last_issue_;
+  std::optional<isa::Instr> last_issue_;
+  bool last_offloaded_ = false;
 };
 
 } // namespace sch::sim

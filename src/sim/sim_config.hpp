@@ -82,26 +82,11 @@ struct SimConfig {
   /// sim/fault_plan.hpp). Null = no faults; the ISS never applies them.
   std::shared_ptr<const FaultPlan> faults;
 
-  /// Host-speed fast path: when every core has halted and the DMA engine is
-  /// burning provably inert startup cycles, jump the cycle counter by the
-  /// closed-form burn length instead of ticking through it. Timing-invisible
-  /// by construction (the skipped cycles change no observable state) and
-  /// automatically disabled whenever anything could watch individual cycles:
-  /// api::Engine clears it when observers are attached, and Cluster ignores
-  /// it under a fault plan or tracing. The fast-path-equivalence suite pins
-  /// off-vs-on reports bit-identical.
-  bool fast_forward = true;
-
   /// Forwarded into IssConfig::fast_dispatch by api::Engine: the functional
   /// ISS half of a run executes through the threaded superblock loop.
   /// Architecturally invisible; exposed here so the equivalence suite can
   /// force the portable step loop through one RunRequest knob.
   bool fast_dispatch = true;
-
-  /// Maintain the per-cycle issue/stall strings that trace observers
-  /// (api::TraceObserver, Fig. 1c/Fig. 2 views) consume. Costs string
-  /// building on the hot path; enable for short runs only.
-  bool trace = false;
 
   /// Range check of every kSimFields row (below): a zero depth on any
   /// queue does not fail loudly at runtime -- it deadlocks the scoreboard or
@@ -116,9 +101,8 @@ struct SimConfig {
 /// One row of the SimConfig field table. A field is settable (scenario and
 /// serve "sim" key, `schsim --set key=value`), range-checked (validate() and
 /// scenario::apply_sim_overrides) and part of the build/report cache key if
-/// and only if it is a row of kSimFields. Host observability knobs that no
-/// report can depend on -- trace, max_wall_ms, faults -- are deliberately
-/// not rows.
+/// and only if it is a row of kSimFields. The host-side knobs max_wall_ms
+/// and faults are deliberately not rows: no build depends on them.
 struct SimField {
   enum Kind : u8 { kInt, kPow2, kBool };
 
@@ -182,7 +166,6 @@ inline constexpr SimField kSimFields[] = {
                   kMaxQueueDepth),
     SCH_SIM_FIELD("max_cycles", max_cycles, kInt, 1, ~u64{0}),
     SCH_SIM_FIELD("deadlock_cycles", deadlock_cycles, kInt, 1, ~u64{0}),
-    SCH_SIM_FIELD("fast_forward", fast_forward, kBool, 0, 1),
     SCH_SIM_FIELD("fast_dispatch", fast_dispatch, kBool, 0, 1),
 };
 

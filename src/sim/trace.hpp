@@ -35,12 +35,7 @@ struct TraceEntry {
 
 class Trace {
  public:
-  explicit Trace(bool enabled) : enabled_(enabled) {}
-
-  [[nodiscard]] bool enabled() const { return enabled_; }
-  void record(TraceEntry entry) {
-    if (enabled_) entries_.push_back(std::move(entry));
-  }
+  void record(TraceEntry entry) { entries_.push_back(std::move(entry)); }
   [[nodiscard]] const std::vector<TraceEntry>& entries() const { return entries_; }
 
   /// Render the issue trace as a Fig. 1c-style table.
@@ -49,7 +44,6 @@ class Trace {
   [[nodiscard]] std::string format_dataflow(usize max_rows = 64) const;
 
  private:
-  bool enabled_;
   std::vector<TraceEntry> entries_;
 };
 

@@ -213,13 +213,11 @@ TEST(Engine, SubmitMatchesSyncRun) {
 TEST(Engine, ObserverSeesEveryCycleAndTheHalt) {
   struct Probe : Observer {
     u64 cycles = 0;
-    u64 retired = 0;
     int starts = 0;
     int halts = 0;
     bool saw_memory = false;
     void on_run_start(const RunRequest&, const std::string&) override { ++starts; }
     void on_cycle(const sim::Simulator&) override { ++cycles; }
-    void on_retire(const sim::Simulator&, u64 n) override { retired += n; }
     void on_halt(const RunReport&, const sim::Simulator* simulator,
                  const Memory* memory) override {
       ++halts;
@@ -234,7 +232,6 @@ TEST(Engine, ObserverSeesEveryCycleAndTheHalt) {
   EXPECT_EQ(probe.starts, 1);
   EXPECT_EQ(probe.halts, 1);
   EXPECT_EQ(probe.cycles, r.cycles);
-  EXPECT_EQ(probe.retired, r.perf.total_retired());
   EXPECT_TRUE(probe.saw_memory);
 }
 

@@ -1,7 +1,6 @@
-// Fast-path equivalence suite: every host-speed optimization in the two
-// engines -- the ISS's threaded superblock dispatch (fast_dispatch), the
-// TCDM bank-mask arbiter (tcdm.fast_arb) and the cluster's halted-cores
-// DMA-startup fast-forward (fast_forward) -- must be TIMING-INVISIBLE.
+// Fast-path equivalence suite: both host-speed optimizations in the two
+// engines -- the ISS's threaded superblock dispatch (fast_dispatch) and the
+// TCDM bank-mask arbiter (tcdm.fast_arb) -- must be TIMING-INVISIBLE.
 // Each toggle is forced off individually against the all-on default and
 // the resulting RunReports must be bit-identical: cycles, the full
 // PerfCounters block (aggregate and per core), TCDM contention stats,
@@ -9,8 +8,8 @@
 //
 // Two workload sources:
 //  * a registry-kernel sample covering chaining, FREP, indirect streams,
-//    DMA double buffering (which exercises fast-forward) and a 4-core
-//    cluster (which exercises the bank-mask arbiter under contention);
+//    DMA double buffering and a 4-core cluster (which exercises the
+//    bank-mask arbiter under contention);
 //  * pinned-seed differential-fuzz programs over the full block
 //    vocabulary, run exactly like the fuzz campaign (both engines in
 //    lockstep with full-memory compare).
@@ -28,18 +27,15 @@ namespace {
 struct Toggles {
   bool fast_dispatch;
   bool fast_arb;
-  bool fast_forward;
 };
 
-constexpr Toggles kAllOn{true, true, true};
-constexpr Toggles kNoDispatch{false, true, true};
-constexpr Toggles kNoFastArb{true, false, true};
-constexpr Toggles kNoFastForward{true, true, false};
+constexpr Toggles kAllOn{true, true};
+constexpr Toggles kNoDispatch{false, true};
+constexpr Toggles kNoFastArb{true, false};
 
 RunReport run_with(RunRequest request, const Toggles& t) {
   request.config.fast_dispatch = t.fast_dispatch;
   request.config.tcdm.fast_arb = t.fast_arb;
-  request.config.fast_forward = t.fast_forward;
   return run(request);
 }
 
@@ -107,8 +103,6 @@ void expect_toggle_invisible(const RunRequest& request,
                    label + " [fast_dispatch off]");
   expect_identical(all_on, run_with(request, kNoFastArb),
                    label + " [tcdm.fast_arb off]");
-  expect_identical(all_on, run_with(request, kNoFastForward),
-                   label + " [fast_forward off]");
 }
 
 // --- registry-kernel sample --------------------------------------------------
@@ -119,8 +113,8 @@ struct KernelCase {
   u32 num_cores;
 };
 
-// Chaining, FREP, indirect gather, DMA double buffering (fast-forward's
-// only trigger) and multi-core TCDM contention are all represented.
+// Chaining, FREP, indirect gather, DMA double buffering and multi-core
+// TCDM contention are all represented.
 const KernelCase kKernelCases[] = {
     {"vecop", "chained+frep", 1},
     {"gemm", "chained", 1},

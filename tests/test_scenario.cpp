@@ -130,10 +130,13 @@ TEST(Scenario, SimOverridesRoundTrip) {
   EXPECT_EQ(cfg.fdiv_latency, dflt.fdiv_latency);
   EXPECT_EQ(cfg.seq_buffer_depth, dflt.seq_buffer_depth);
 
-  sim::SimConfig cfg2;
-  const auto bad = Json::parse(R"({"fpu_dpeth": 3})");
-  ASSERT_TRUE(bad.ok());
-  EXPECT_FALSE(apply_sim_overrides(bad.value(), cfg2).is_ok());
+  // A typo and a removed key are both rejected like any unknown key.
+  for (const char* text : {R"({"fpu_dpeth": 3})", R"({"fast_forward": false})"}) {
+    sim::SimConfig cfg2;
+    const auto bad = Json::parse(text);
+    ASSERT_TRUE(bad.ok()) << text;
+    EXPECT_FALSE(apply_sim_overrides(bad.value(), cfg2).is_ok()) << text;
+  }
 }
 
 // --- expansion ---------------------------------------------------------------

@@ -7,6 +7,7 @@
 // front-end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -148,7 +149,6 @@ TEST(BuildCache, KeyCoversEveryTimingRelevantConfigField) {
        [](sim::SimConfig& c) { c.ssr.write_fifo_depth = 3; }},
       {"max_cycles", [](sim::SimConfig& c) { c.max_cycles = 12345; }},
       {"deadlock_cycles", [](sim::SimConfig& c) { c.deadlock_cycles = 777; }},
-      {"fast_forward", [](sim::SimConfig& c) { c.fast_forward = false; }},
       {"fast_dispatch", [](sim::SimConfig& c) { c.fast_dispatch = false; }},
   };
 
@@ -165,11 +165,10 @@ TEST(BuildCache, KeyCoversEveryTimingRelevantConfigField) {
   // And the deliberate exclusions: pure observability knobs must NOT shred
   // the hit rate (docs/SERVE.md pins this contract).
   sim::SimConfig c = base;
-  c.trace = true;
   c.max_wall_ms = 5000;
   c.faults = std::make_shared<const sim::FaultPlan>();
   EXPECT_EQ(BuildCache::make_key("axpy", "baseline", sizes, c), base_key)
-      << "trace/max_wall_ms/faults are observability knobs, not key fields";
+      << "max_wall_ms/faults are observability knobs, not key fields";
 
   // Kernel, variant and sizes all key.
   EXPECT_NE(BuildCache::make_key("dot", "baseline", sizes, base), base_key);
@@ -574,16 +573,17 @@ TEST(StreamingScenario, EmitsServeProtocolLinesForEveryJob) {
 #if defined(SCH_SERVE_HAVE_FDSTREAM)
 TEST(ServeTcp, PingRunShutdownRoundTrip) {
   Server server;
-  u16 port = 0;
+  std::atomic<u16> bound{0};
   std::ostringstream log;
   Status listen_status;
   std::thread listener([&] {
-    listen_status = serve_listen(server, 0, &port, log);
+    listen_status = serve_listen(server, 0, &bound, log);
   });
   // Wait for the listener to publish its bound port.
-  for (int i = 0; i < 200 && port == 0; ++i) {
+  for (int i = 0; i < 200 && bound.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
+  const u16 port = bound.load();
   if (port == 0) {
     listener.detach();
     GTEST_SKIP() << "listener did not come up (sandboxed network?)";

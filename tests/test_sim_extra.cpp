@@ -4,6 +4,9 @@
 // offload-queue saturation, and trace recording.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "api/engine.hpp"
 #include "asm/assembler.hpp"
 #include "iss/exec_semantics.hpp"
@@ -394,7 +397,6 @@ TEST(SimTrace, TraceObserverRecordsIssueAndPipeline) {
     add a2, a0, a1
     ecall
   )"));
-  request.config.trace = true;
   api::TraceObserver tracer;
   request.observers.push_back(&tracer);
   const api::RunReport report = api::run(request);
@@ -405,6 +407,31 @@ TEST(SimTrace, TraceObserverRecordsIssueAndPipeline) {
   EXPECT_NE(tracer.trace().format_issue_table().find("add a2, a0, a1"),
             std::string::npos);
 }
+
+#ifdef SCH_GOLDEN_DIR
+std::string read_golden(const char* name) {
+  std::ifstream in(std::string(SCH_GOLDEN_DIR) + "/" + name, std::ios::binary);
+  EXPECT_TRUE(in) << "missing tests/golden/" << name;
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(SimTrace, FrepProgramMatchesGoldenText) {
+  // Pins the rendered trace byte for byte. tests/golden/trace_frep.s has
+  // offloads, an frep.o body, raw stalls and an lsu-busy stall;
+  // trace_frep.txt is its issue table, a blank line, then its dataflow.
+  api::RunRequest request =
+      api::RunRequest::for_program(prog(read_golden("trace_frep.s")));
+  api::TraceObserver tracer;
+  request.observers.push_back(&tracer);
+  const api::RunReport report = api::run(request);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(tracer.trace().format_issue_table() + "\n" +
+                tracer.trace().format_dataflow(),
+            read_golden("trace_frep.txt"));
+}
+#endif // SCH_GOLDEN_DIR
 
 TEST(SimCsr, InstretCountsRetired) {
   Memory mem;

@@ -87,7 +87,7 @@ void usage() {
                "usage: schsim list-kernels [--json]\n"
                "       schsim run scenario.json [--out report.json] [--threads N]\n"
                "              [--engine iss|cycle|both] [--set KEY=VALUE]...\n"
-               "              [--stream] [--no-cache]\n"
+               "              [--stream]\n"
                "       schsim serve [--threads N] [--port P]\n"
                "              [--build-cache N] [--report-cache N]\n"
                "              [--max-line-bytes N] [--max-jobs N]\n"
@@ -268,8 +268,6 @@ int cmd_run(int argc, char** argv) {
       }
     } else if (arg == "--stream") {
       stream = true;
-    } else if (arg == "--no-cache") {
-      options.use_cache = false;
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "schsim run: unknown option: %s\n", arg.c_str());
       return 2;
@@ -299,7 +297,6 @@ int cmd_run(int argc, char** argv) {
     serve::ScenarioStreamOptions stream_options;
     stream_options.engine = options.engine;
     stream_options.threads = options.threads;
-    stream_options.use_cache = options.use_cache;
     const scenario::Scenario& scenario = sc.value();
     const bool to_stdout =
         options.output.empty() || options.output == "-";
@@ -631,8 +628,8 @@ int cmd_sim(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--iss") use_iss = true;
-    else if (arg == "--trace") { want_trace = true; cfg.trace = true; }
-    else if (arg == "--dataflow") { want_dataflow = true; cfg.trace = true; }
+    else if (arg == "--trace") want_trace = true;
+    else if (arg == "--dataflow") want_dataflow = true;
     else if (arg == "--energy") want_energy = true;
     else if (arg == "--set") add_set_arg(next("--set"), sets);
     else if (arg == "--dump") {
