@@ -15,25 +15,4 @@ void ChainUnit::set_mask(u32 new_mask) {
   mask_.set_value(new_mask);
 }
 
-void ChainUnit::begin_cycle() {
-  popped_this_cycle_.fill(false);
-  pushed_this_cycle_.fill(false);
-}
-
-u64 ChainUnit::pop(u8 reg) {
-  assert(valid_[reg] && "chain pop of empty register");
-  valid_[reg] = false;
-  popped_this_cycle_[reg] = true;
-  ++stats_.pops;
-  return value_[reg];
-}
-
-void ChainUnit::push(u8 reg, u64 value) {
-  assert(can_push(reg) && "chain push into occupied register");
-  valid_[reg] = true;
-  value_[reg] = value;
-  pushed_this_cycle_[reg] = true;
-  ++stats_.pushes;
-}
-
 } // namespace sch::chain

@@ -36,26 +36,42 @@ class ChainUnit {
   [[nodiscard]] u32 mask() const { return mask_.value(); }
   [[nodiscard]] bool enabled(u8 reg) const { return mask_.enabled(reg); }
 
-  /// Start-of-cycle bookkeeping (clears the popped-this-cycle marks).
-  void begin_cycle();
+  /// Start-of-cycle bookkeeping (clears the popped/pushed-this-cycle marks).
+  void begin_cycle() {
+    popped_this_cycle_ = 0;
+    pushed_this_cycle_ = 0;
+  }
 
   /// Can the FP issue stage pop `reg` this cycle?
   [[nodiscard]] bool can_pop(u8 reg) const { return valid_[reg]; }
 
   /// Pop: returns the value and frees the slot.
-  u64 pop(u8 reg);
+  u64 pop(u8 reg) {
+    assert(valid_[reg] && "chain pop of empty register");
+    valid_[reg] = false;
+    popped_this_cycle_ |= bit(reg);
+    ++stats_.pops;
+    return value_[reg];
+  }
 
   /// Can the FPU writeback stage push into `reg` this cycle? At most one
   /// push per register per cycle (single writeback port); in strict mode a
   /// slot freed by a pop this cycle is not reusable until the next cycle.
   [[nodiscard]] bool can_push(u8 reg) const {
-    if (pushed_this_cycle_[reg]) return false;
-    if (strict_handoff_) return !valid_[reg] && !popped_this_cycle_[reg];
-    return !valid_[reg] || popped_this_cycle_[reg];
+    if ((pushed_this_cycle_ & bit(reg)) != 0) return false;
+    const bool popped = (popped_this_cycle_ & bit(reg)) != 0;
+    if (strict_handoff_) return !valid_[reg] && !popped;
+    return !valid_[reg] || popped;
   }
 
   /// Push: sets the valid bit and stores the value.
-  void push(u8 reg, u64 value);
+  void push(u8 reg, u64 value) {
+    assert(can_push(reg) && "chain push into occupied register");
+    valid_[reg] = true;
+    value_[reg] = value;
+    pushed_this_cycle_ |= bit(reg);
+    ++stats_.pushes;
+  }
 
   /// Fault injection (sim::FaultKind::kDropChainEntry): silently discard the
   /// entry in `reg`. The consumer that would have popped it waits forever,
@@ -78,12 +94,14 @@ class ChainUnit {
   void count_backpressure() { ++stats_.backpressure_cycles; }
 
  private:
+  static constexpr u32 bit(u8 reg) { return u32{1} << reg; }
+
   bool strict_handoff_;
   ChainMask mask_;
   std::array<bool, isa::kNumFpRegs> valid_{};
   std::array<u64, isa::kNumFpRegs> value_{};
-  std::array<bool, isa::kNumFpRegs> popped_this_cycle_{};
-  std::array<bool, isa::kNumFpRegs> pushed_this_cycle_{};
+  u32 popped_this_cycle_ = 0; // bit r: register r popped this cycle
+  u32 pushed_this_cycle_ = 0; // bit r: register r pushed this cycle
   Stats stats_;
 };
 

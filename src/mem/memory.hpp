@@ -52,9 +52,7 @@ class Memory {
     const u32 slot = slot_of(addr, bytes);
     const u32 off = addr & kPageMask;
     if (off + bytes > kPageSize) [[unlikely]] return load_split(addr, bytes);
-    u64 v = 0;
-    std::memcpy(&v, pages_[slot] + off, bytes);
-    return v;
+    return read_le(pages_[slot] + off, bytes);
   }
   void store(Addr addr, u64 value, u32 bytes) {
     const u32 slot = slot_of(addr, bytes);
@@ -65,7 +63,7 @@ class Memory {
     }
     u8* page = pages_[slot];
     if (page == kZeroPage) [[unlikely]] page = allocate(slot);
-    std::memcpy(page + off, &value, bytes);
+    write_le(page + off, value, bytes);
   }
 
   [[nodiscard]] double load_f64(Addr addr) const;
@@ -116,6 +114,32 @@ class Memory {
       return kTcdmPages + main_off / kPageSize;
     }
     throw_bus_error(addr);
+  }
+
+  /// Fixed-width copies for the access sizes the ISA has. Where load/store
+  /// stay out of line (a non-constant `bytes`, or a caller the compiler
+  /// chose not to inline them into), a variable-length memcpy expands to a
+  /// microcoded `rep movsq` for the 8-byte case, whose start-up cost alone
+  /// exceeds the rest of an SSR data fetch.
+  [[nodiscard]] static u64 read_le(const u8* p, u32 bytes) {
+    u64 v = 0;
+    switch (bytes) {
+      case 8: std::memcpy(&v, p, 8); break;
+      case 4: std::memcpy(&v, p, 4); break;
+      case 2: std::memcpy(&v, p, 2); break;
+      case 1: v = *p; break;
+      default: std::memcpy(&v, p, bytes); break;
+    }
+    return v;
+  }
+  static void write_le(u8* p, u64 value, u32 bytes) {
+    switch (bytes) {
+      case 8: std::memcpy(p, &value, 8); break;
+      case 4: std::memcpy(p, &value, 4); break;
+      case 2: std::memcpy(p, &value, 2); break;
+      case 1: *p = static_cast<u8>(value); break;
+      default: std::memcpy(p, &value, bytes); break;
+    }
   }
 
   /// Give `slot` its own zeroed page (first write to it).

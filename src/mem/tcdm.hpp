@@ -109,9 +109,10 @@ class Tcdm {
     // Addresses below the TCDM base would wrap through the u32 subtraction
     // into a bogus bank; callers must range-check first (see request()).
     assert(memmap::in_tcdm(addr));
+    // num_banks is a power of two (see TcdmConfig), so a mask selects it.
     return (static_cast<u32>(addr - memmap::kTcdmBase) >>
-            TcdmConfig::kBankWordLog2) %
-           cfg_.num_banks;
+            TcdmConfig::kBankWordLog2) &
+           (cfg_.num_banks - 1);
   }
 
   /// The `k` banks with the most conflicts, hottest first (ties broken by

@@ -90,6 +90,8 @@ void Cluster::apply_faults() {
 
 void Cluster::tick() {
   ++cycle_;
+  const u32 n = num_cores();
+  rotation_ = rotation_ == n ? 0 : rotation_ + 1; // cycle_ % (n + 1)
   tcdm_.begin_cycle();
   if (cfg_.faults != nullptr) apply_faults();
 
@@ -99,16 +101,14 @@ void Cluster::tick() {
   // banks like any other requester but can never starve a core. An idle
   // engine makes no requests, so with DMA off the cores see exactly the
   // pre-Xdma arbitration.
-  const u32 n = num_cores();
-  const u32 slots = n + 1;
-  const u32 start = static_cast<u32>(cycle_ % slots);
-  for (u32 k = 0; k < slots; ++k) {
-    const u32 slot = (start + k) % slots;
+  u32 slot = rotation_;
+  for (u32 k = 0; k <= n; ++k) {
     if (slot < n) {
       cores_[slot]->tick(cycle_);
     } else {
       dma_.tick(cycle_, tcdm_);
     }
+    slot = slot == n ? 0 : slot + 1;
   }
 
   // Progress watchdog across the whole cluster (a spinning barrier still

@@ -92,6 +92,9 @@ class Cluster {
   std::vector<std::unique_ptr<Core>> cores_;
 
   Cycle cycle_ = 0;
+  /// First slot of this cycle's service order: cycle_ % (num_cores + 1),
+  /// kept by wrap-around so the tick never divides.
+  u32 rotation_ = 0;
   u64 last_progress_retired_ = 0;
   Cycle last_progress_cycle_ = 0;
   HaltReason halt_ = HaltReason::kNone;

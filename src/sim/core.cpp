@@ -33,14 +33,18 @@ void Core::tick(Cycle now) {
 
   // SSR streamers fetch last: the core's LSU has bank priority within the
   // cycle; the three streamer ports rotate round-robin among themselves.
+  // An unarmed streamer makes no request, so it is skipped.
   static constexpr TcdmPortId kSsrPorts[3] = {
       TcdmPortId::kSsr0, TcdmPortId::kSsr1, TcdmPortId::kSsr2};
+  u32 i = ssr_rr_;
   for (u32 k = 0; k < ssr::kNumSsrs; ++k) {
-    const u32 i = (ssr_rr_ + k) % ssr::kNumSsrs;
-    fp_->streamer(i).tick_fetch(now, tcdm_, mem_,
-                                Tcdm::requester_id(hartid_, kSsrPorts[i]));
+    ssr::Streamer& s = fp_->streamer(i);
+    if (s.armed()) {
+      s.tick_fetch(now, tcdm_, mem_, Tcdm::requester_id(hartid_, kSsrPorts[i]));
+    }
+    i = i + 1 == ssr::kNumSsrs ? 0 : i + 1;
   }
-  ssr_rr_ = (ssr_rr_ + 1) % ssr::kNumSsrs;
+  ssr_rr_ = ssr_rr_ + 1 == ssr::kNumSsrs ? 0 : ssr_rr_ + 1;
 
   ++perf_.cycles;
   if (fully_halted()) halted_at_ = now;

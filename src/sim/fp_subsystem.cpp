@@ -43,6 +43,24 @@ void FpSubsystem::set_chain_mask(u32 mask) {
     if (was && !now && chain_.valid(r)) fregs_[r] = chain_.value(r);
   }
   chain_.set_mask(mask);
+  update_src_kinds();
+}
+
+void FpSubsystem::update_src_kinds() {
+  for (u8 r = 0; r < isa::kNumFpRegs; ++r) {
+    const ssr::StreamDir dir = ssr_enabled_ && r < ssr::kNumSsrs
+                                   ? streamers_[r].dir()
+                                   : ssr::StreamDir::kNone;
+    if (dir == ssr::StreamDir::kRead) {
+      src_kind_[r] = SrcKind::kSsrRead;
+    } else if (dir == ssr::StreamDir::kWrite) {
+      src_kind_[r] = SrcKind::kSsrWrite;
+    } else if (chain_.enabled(r)) {
+      src_kind_[r] = SrcKind::kChain;
+    } else {
+      src_kind_[r] = SrcKind::kRf;
+    }
+  }
 }
 
 Status FpSubsystem::cfg_write(i32 index, u32 value) {
@@ -50,6 +68,7 @@ Status FpSubsystem::cfg_write(i32 index, u32 value) {
   if (!result.ok()) return result.status();
   if (const auto& arm = result.value(); arm.has_value()) {
     streamers_[arm->ssr].arm(ssr_cfgs_[arm->ssr], arm->ptr, arm->dims, arm->dir);
+    update_src_kinds();
   }
   return Status::ok();
 }
@@ -67,31 +86,19 @@ void FpSubsystem::begin_cycle(Cycle now) {
   last_stall_ = "";
 }
 
-FpSubsystem::SrcKind FpSubsystem::classify_src(u8 reg) const {
-  if (ssr_enabled_ && reg < ssr::kNumSsrs &&
-      streamers_[reg].dir() != ssr::StreamDir::kNone) {
-    return SrcKind::kSsr;
-  }
-  if (chain_.enabled(reg)) return SrcKind::kChain;
-  return SrcKind::kRf;
-}
-
 bool FpSubsystem::src_ready(u8 reg) {
-  switch (classify_src(reg)) {
-    case SrcKind::kSsr: {
-      const ssr::Streamer& s = streamers_[reg];
-      if (s.dir() != ssr::StreamDir::kRead) {
-        fail("read of SSR register " + std::string(isa::fp_reg_name(reg)) +
-             " armed as a write stream");
-        return false;
-      }
-      if (!s.can_pop()) {
+  switch (src_kind_[reg]) {
+    case SrcKind::kSsrRead:
+      if (!streamers_[reg].can_pop()) {
         ++perf_.stall_ssr_empty;
         last_stall_ = "ssr-empty";
         return false;
       }
       return true;
-    }
+    case SrcKind::kSsrWrite:
+      fail("read of SSR register " + std::string(isa::fp_reg_name(reg)) +
+           " armed as a write stream");
+      return false;
     case SrcKind::kChain:
       if (!chain_.can_pop(reg)) {
         ++perf_.stall_chain_empty;
@@ -111,29 +118,33 @@ bool FpSubsystem::src_ready(u8 reg) {
 }
 
 u64 FpSubsystem::read_src(u8 reg) {
-  switch (classify_src(reg)) {
-    case SrcKind::kSsr:
+  switch (src_kind_[reg]) {
+    case SrcKind::kSsrRead:
       return streamers_[reg].pop();
     case SrcKind::kChain:
       return chain_.pop(reg);
     case SrcKind::kRf:
       ++perf_.rf_fp_reads;
       return fregs_[reg];
+    case SrcKind::kSsrWrite: // src_ready() failed the run first
+      break;
   }
   return 0;
 }
 
 std::optional<DestKind> FpSubsystem::resolve_dest(u8 rd) {
-  if (ssr_enabled_ && rd < ssr::kNumSsrs &&
-      streamers_[rd].dir() != ssr::StreamDir::kNone) {
-    if (streamers_[rd].dir() != ssr::StreamDir::kWrite) {
+  switch (src_kind_[rd]) {
+    case SrcKind::kSsrWrite:
+      return DestKind::kSsrWrite;
+    case SrcKind::kSsrRead:
       fail("write to SSR register " + std::string(isa::fp_reg_name(rd)) +
            " armed as a read stream");
       return std::nullopt;
-    }
-    return DestKind::kSsrWrite;
+    case SrcKind::kChain:
+      return DestKind::kChain; // no WAW for chained regs
+    case SrcKind::kRf:
+      break;
   }
-  if (chain_.enabled(rd)) return DestKind::kChain; // no WAW for chained regs
   if (busy_f_[rd] != 0) {
     ++perf_.stall_fp_waw;
     last_stall_ = "waw";

@@ -70,7 +70,10 @@ class FpSubsystem {
   /// Everything drained: queue, latch, pipeline, div unit, LSU, write streams.
   [[nodiscard]] bool quiescent() const;
 
-  void set_ssr_enable(bool enable) { ssr_enabled_ = enable; }
+  void set_ssr_enable(bool enable) {
+    ssr_enabled_ = enable;
+    update_src_kinds();
+  }
   [[nodiscard]] bool ssr_enabled() const { return ssr_enabled_; }
   void set_chain_mask(u32 mask);
   [[nodiscard]] u32 chain_mask() const { return chain_.mask(); }
@@ -104,7 +107,9 @@ class FpSubsystem {
   [[nodiscard]] const char* last_stall() const { return last_stall_; }
 
  private:
-  enum class SrcKind : u8 { kRf, kSsr, kChain };
+  /// Where an FP register operand lives under the current SSR enable,
+  /// stream directions and chain mask.
+  enum class SrcKind : u8 { kRf, kChain, kSsrRead, kSsrWrite };
 
   struct LatchEntry {
     FpuSlot slot;
@@ -124,8 +129,9 @@ class FpSubsystem {
   /// slot right after.
   void note_issue(const isa::Instr& in) { last_issue_ = in; }
 
-  /// Classify a source register under current SSR/chain mappings.
-  SrcKind classify_src(u8 reg) const;
+  /// Recompute src_kind_. Called by every write that changes an input:
+  /// set_ssr_enable, set_chain_mask and the arming branch of cfg_write.
+  void update_src_kinds();
   /// True when the source operand can be read/popped this cycle; on false,
   /// bumps the corresponding stall counter.
   bool src_ready(u8 reg);
@@ -159,6 +165,9 @@ class FpSubsystem {
   std::array<u8, isa::kNumFpRegs> busy_f_{}; // outstanding writes per register
 
   bool ssr_enabled_ = false;
+  /// Per-register operand source, so issue looks it up instead of
+  /// re-testing the SSR enable, stream direction and chain mask.
+  std::array<SrcKind, isa::kNumFpRegs> src_kind_{};
   std::array<ssr::SsrRawConfig, ssr::kNumSsrs> ssr_cfgs_{};
   std::array<ssr::Streamer, ssr::kNumSsrs> streamers_;
 

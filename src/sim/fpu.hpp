@@ -27,34 +27,44 @@ struct FpuSlot {
 
 class FpuPipeline {
  public:
-  explicit FpuPipeline(u32 depth) : stages_(depth) {}
+  explicit FpuPipeline(u32 depth) : slots_(depth) {}
 
-  [[nodiscard]] u32 depth() const { return static_cast<u32>(stages_.size()); }
-  [[nodiscard]] bool stage0_free() const { return !stages_.front().busy; }
-  [[nodiscard]] const FpuSlot& last() const { return stages_.back(); }
-  [[nodiscard]] const FpuSlot& stage(u32 i) const { return stages_[i]; }
+  [[nodiscard]] u32 depth() const { return static_cast<u32>(slots_.size()); }
+  [[nodiscard]] bool stage0_free() const { return !slots_[head_].busy; }
+  [[nodiscard]] const FpuSlot& last() const { return slots_[last_index()]; }
+  [[nodiscard]] const FpuSlot& stage(u32 i) const {
+    const u32 p = head_ + i;
+    return slots_[p < depth() ? p : p - depth()];
+  }
   [[nodiscard]] bool empty() const {
-    for (const FpuSlot& s : stages_) {
+    for (const FpuSlot& s : slots_) {
       if (s.busy) return false;
     }
     return true;
   }
 
   /// Insert into stage 0 (issue). Requires stage0_free().
-  void insert(const FpuSlot& slot) { stages_.front() = slot; }
+  void insert(const FpuSlot& slot) { slots_[head_] = slot; }
 
   /// Advance one cycle after the last stage was written back (or was empty):
-  /// shifts every slot forward and clears stage 0.
+  /// every slot moves one stage forward and stage 0 is cleared. The slots
+  /// form a ring, so this moves stage 0 back onto the old last stage's
+  /// slot and copies no other slot.
   void advance() {
-    for (usize i = stages_.size(); i-- > 1;) stages_[i] = stages_[i - 1];
-    stages_.front() = FpuSlot{};
+    head_ = last_index();
+    slots_[head_] = FpuSlot{};
   }
 
   /// Clear the last stage in place (writeback done, used before advance()).
-  void clear_last() { stages_.back() = FpuSlot{}; }
+  void clear_last() { slots_[last_index()] = FpuSlot{}; }
 
  private:
-  std::vector<FpuSlot> stages_;
+  [[nodiscard]] u32 last_index() const {
+    return head_ == 0 ? depth() - 1 : head_ - 1;
+  }
+
+  std::vector<FpuSlot> slots_;
+  u32 head_ = 0; // slots_ index of stage 0; stage i is i slots further on
 };
 
 /// Iterative (unpipelined) unit for fdiv/fsqrt.

@@ -1,7 +1,5 @@
 #include "ssr/streamer.hpp"
 
-#include <cassert>
-
 #include "mem/memory.hpp"
 
 namespace sch::ssr {
@@ -53,32 +51,6 @@ bool Streamer::idle() const {
   }
   return write_fifo_.empty();
 }
-
-bool Streamer::can_pop() const {
-  return dir_ == StreamDir::kRead && !data_fifo_.empty() &&
-         data_fifo_.front().available_at <= now_;
-}
-
-u64 Streamer::pop() {
-  assert(can_pop());
-  DataEntry& e = data_fifo_.front();
-  const u64 v = e.value;
-  ++stats_.elements_popped;
-  if (--e.copies == 0) data_fifo_.pop();
-  return v;
-}
-
-bool Streamer::can_push() const {
-  return dir_ == StreamDir::kWrite && write_fifo_.size() < scfg_.write_fifo_depth;
-}
-
-void Streamer::push(u64 value) {
-  assert(can_push());
-  write_fifo_.push(value);
-  ++stats_.elements_pushed;
-}
-
-void Streamer::begin_cycle(Cycle now) { now_ = now; }
 
 bool Streamer::fifo_has_room() const {
   return data_fifo_.size() < scfg_.data_fifo_depth;

@@ -12,6 +12,8 @@
 //    FIFO backpressures the FPU.
 #pragma once
 
+#include <cassert>
+
 #include "common/fixed_queue.hpp"
 #include "common/types.hpp"
 #include "mem/memory.hpp"
@@ -41,14 +43,31 @@ class Streamer {
   [[nodiscard]] bool idle() const;
 
   // --- consumer interface (FP issue / writeback stages) ---
-  [[nodiscard]] bool can_pop() const;
-  u64 pop();
-  [[nodiscard]] bool can_push() const;
-  void push(u64 value);
+  [[nodiscard]] bool can_pop() const {
+    return dir_ == StreamDir::kRead && !data_fifo_.empty() &&
+           data_fifo_.front().available_at <= now_;
+  }
+  u64 pop() {
+    assert(can_pop());
+    DataEntry& e = data_fifo_.front();
+    const u64 v = e.value;
+    ++stats_.elements_popped;
+    if (--e.copies == 0) data_fifo_.pop();
+    return v;
+  }
+  [[nodiscard]] bool can_push() const {
+    return dir_ == StreamDir::kWrite &&
+           write_fifo_.size() < scfg_.write_fifo_depth;
+  }
+  void push(u64 value) {
+    assert(can_push());
+    write_fifo_.push(value);
+    ++stats_.elements_pushed;
+  }
 
   // --- simulation loop interface ---
   /// Commit data that became visible this cycle. Call before the FP stage.
-  void begin_cycle(Cycle now);
+  void begin_cycle(Cycle now) { now_ = now; }
   /// Issue at most one TCDM request as `requester` (a global requester id;
   /// see Tcdm::requester_id). Call after the FP stage.
   void tick_fetch(Cycle now, Tcdm& tcdm, Memory& mem, u32 requester);

@@ -1,10 +1,12 @@
-// Timing-oracle matrix: the cycle count of EVERY registry kernel x variant
-// at 1 and 4 cluster cores is pinned against a committed golden file
-// (tests/golden/timing_oracle.json). The cycle engine's reports are
-// bit-identical across hosts, so any drift here is a real timing change --
-// this is the backstop that lets the host-speed fast paths (threaded
-// dispatch, bank-mask arbitration, DMA-startup fast-forward) evolve while
-// proving the modeled microarchitecture never moved.
+// Timing-oracle matrix: the cycle count, the cluster's aggregate
+// PerfCounters and the TCDM and DMA traffic counters of EVERY registry
+// kernel x variant at 1 and 4 cluster cores are pinned against a committed
+// golden file (tests/golden/timing_oracle.json). The cycle engine's reports
+// are bit-identical across hosts, so any drift here is a real model change
+// -- this is the backstop that lets the host-speed work (threaded dispatch,
+// bank-mask arbitration, the per-cycle hot path) evolve while proving the
+// modeled microarchitecture never moved: not its cycle counts, and not its
+// stall attribution, bank contention or DMA activity either.
 //
 // Updating after an INTENDED timing change:
 //   SCH_UPDATE_TIMING_ORACLE=1 ./sch_tests --gtest_filter='TimingOracle.*'
@@ -14,6 +16,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,17 +34,91 @@ namespace {
 constexpr const char* kGoldenPath = SCH_GOLDEN_DIR "/timing_oracle.json";
 const u32 kCoreCounts[] = {1, 4};
 
+using sim::PerfCounters;
+
+struct PerfField {
+  const char* name;
+  u64 PerfCounters::*member;
+};
+
+// Every PerfCounters field, in declaration order.
+constexpr PerfField kPerfFields[] = {
+    {"cycles", &PerfCounters::cycles},
+    {"int_instrs", &PerfCounters::int_instrs},
+    {"fp_instrs", &PerfCounters::fp_instrs},
+    {"offloads", &PerfCounters::offloads},
+    {"fpu_ops", &PerfCounters::fpu_ops},
+    {"int_alu_ops", &PerfCounters::int_alu_ops},
+    {"int_mul_ops", &PerfCounters::int_mul_ops},
+    {"int_div_ops", &PerfCounters::int_div_ops},
+    {"int_loads", &PerfCounters::int_loads},
+    {"int_stores", &PerfCounters::int_stores},
+    {"branches", &PerfCounters::branches},
+    {"csr_ops", &PerfCounters::csr_ops},
+    {"fp_mac_ops", &PerfCounters::fp_mac_ops},
+    {"fp_div_ops", &PerfCounters::fp_div_ops},
+    {"fp_loads", &PerfCounters::fp_loads},
+    {"fp_stores", &PerfCounters::fp_stores},
+    {"rf_int_reads", &PerfCounters::rf_int_reads},
+    {"rf_int_writes", &PerfCounters::rf_int_writes},
+    {"rf_fp_reads", &PerfCounters::rf_fp_reads},
+    {"rf_fp_writes", &PerfCounters::rf_fp_writes},
+    {"stall_fp_raw", &PerfCounters::stall_fp_raw},
+    {"stall_fp_waw", &PerfCounters::stall_fp_waw},
+    {"stall_chain_empty", &PerfCounters::stall_chain_empty},
+    {"stall_chain_full", &PerfCounters::stall_chain_full},
+    {"stall_ssr_empty", &PerfCounters::stall_ssr_empty},
+    {"stall_ssr_wfull", &PerfCounters::stall_ssr_wfull},
+    {"stall_fpu_busy", &PerfCounters::stall_fpu_busy},
+    {"stall_fp_lsu", &PerfCounters::stall_fp_lsu},
+    {"fp_queue_empty", &PerfCounters::fp_queue_empty},
+    {"stall_offload_full", &PerfCounters::stall_offload_full},
+    {"stall_int_raw", &PerfCounters::stall_int_raw},
+    {"stall_int_lsu", &PerfCounters::stall_int_lsu},
+    {"stall_csr_barrier", &PerfCounters::stall_csr_barrier},
+    {"stall_dma_full", &PerfCounters::stall_dma_full},
+    {"branch_bubbles", &PerfCounters::branch_bubbles},
+    {"int_div_busy", &PerfCounters::int_div_busy},
+};
+// A counter added to PerfCounters must be added above, or it goes unpinned.
+static_assert(sizeof(PerfCounters) == std::size(kPerfFields) * sizeof(u64),
+              "kPerfFields must list every PerfCounters field");
+
+/// One pinned counter of a run: golden section `group`, key `name`.
+struct Counter {
+  const char* group;
+  const char* name;
+  u64 value;
+};
+
 struct Row {
   std::string kernel;
   std::string variant;
   u32 cores;
   bool ok;
   u64 cycles;
+  std::vector<Counter> counters; // grouped: every "perf", then "tcdm", "dma"
 };
 
 std::string row_key(const std::string& kernel, const std::string& variant,
                     u32 cores) {
   return kernel + "/" + variant + "@" + std::to_string(cores);
+}
+
+std::vector<Counter> counters_of(const RunReport& r) {
+  std::vector<Counter> out;
+  for (const PerfField& f : kPerfFields) {
+    out.push_back({"perf", f.name, r.perf.*f.member});
+  }
+  out.push_back({"tcdm", "reads", r.tcdm_reads});
+  out.push_back({"tcdm", "writes", r.tcdm_writes});
+  out.push_back({"tcdm", "conflicts", r.tcdm_conflicts});
+  out.push_back({"tcdm", "out_of_range", r.tcdm_out_of_range});
+  out.push_back({"dma", "bytes", r.dma.bytes});
+  out.push_back({"dma", "busy_cycles", r.dma.busy_cycles});
+  out.push_back({"dma", "startup_cycles", r.dma.startup_cycles});
+  out.push_back({"dma", "tcdm_conflicts", r.dma.tcdm_conflicts});
+  return out;
 }
 
 /// Run the full matrix on the cycle engine. Deterministic: registry order
@@ -56,8 +133,8 @@ std::vector<Row> run_matrix() {
             RunRequest::for_kernel(entry->name, variant, {}, EngineSel::kCycle);
         request.config.num_cores = cores;
         const RunReport report = run(request);
-        rows.push_back(
-            Row{entry->name, variant, cores, report.ok, report.cycles});
+        rows.push_back(Row{entry->name, variant, cores, report.ok,
+                           report.cycles, counters_of(report)});
       }
     }
   }
@@ -66,11 +143,12 @@ std::vector<Row> run_matrix() {
 
 scenario::Json to_json(const std::vector<Row>& rows) {
   scenario::Json root = scenario::Json::object();
-  root.set("version", 1);
+  root.set("version", 2);
   root.set("description",
-           "Pinned cycle counts: every registry kernel x variant at 1 and 4 "
-           "cores, default sizes, cycle engine. Regenerate with "
-           "SCH_UPDATE_TIMING_ORACLE=1 (see tests/test_timing_oracle.cpp).");
+           "Pinned cycle counts, aggregate PerfCounters and TCDM/DMA traffic: "
+           "every registry kernel x variant at 1 and 4 cores, default sizes, "
+           "cycle engine. Regenerate with SCH_UPDATE_TIMING_ORACLE=1 (see "
+           "tests/test_timing_oracle.cpp).");
   scenario::Json entries = scenario::Json::array();
   for (const Row& r : rows) {
     scenario::Json e = scenario::Json::object();
@@ -79,6 +157,15 @@ scenario::Json to_json(const std::vector<Row>& rows) {
     e.set("cores", static_cast<i64>(r.cores));
     e.set("ok", r.ok);
     e.set("cycles", static_cast<i64>(r.cycles));
+    // Counters arrive grouped, so each section is one contiguous run.
+    for (usize i = 0; i < r.counters.size();) {
+      const std::string group = r.counters[i].group;
+      scenario::Json section = scenario::Json::object();
+      for (; i < r.counters.size() && group == r.counters[i].group; ++i) {
+        section.set(r.counters[i].name, r.counters[i].value);
+      }
+      e.set(group, std::move(section));
+    }
     entries.push_back(std::move(e));
   }
   root.set("entries", std::move(entries));
@@ -110,13 +197,12 @@ TEST(TimingOracle, EveryKernelVariantCoreCountMatchesGolden) {
 
   // Index the golden rows; every golden row must be consumed (a removed
   // kernel or variant is a timing-surface change and must update the file).
-  std::map<std::string, std::pair<bool, u64>> golden;
+  std::map<std::string, const scenario::Json*> golden;
   for (const scenario::Json& e : entries->items()) {
     const std::string key = row_key(e.get("kernel")->as_string(),
                                     e.get("variant")->as_string(),
                                     static_cast<u32>(e.get("cores")->as_i64()));
-    golden[key] = {e.get("ok")->as_bool(),
-                   static_cast<u64>(e.get("cycles")->as_i64())};
+    golden[key] = &e;
   }
 
   for (const Row& r : rows) {
@@ -127,9 +213,23 @@ TEST(TimingOracle, EveryKernelVariantCoreCountMatchesGolden) {
                     << "regenerate with SCH_UPDATE_TIMING_ORACLE=1)";
       continue;
     }
-    EXPECT_EQ(r.ok, it->second.first) << key << ": ok status drifted";
-    EXPECT_EQ(r.cycles, it->second.second)
+    const scenario::Json& g = *it->second;
+    EXPECT_EQ(r.ok, g.get("ok")->as_bool()) << key << ": ok status drifted";
+    EXPECT_EQ(r.cycles, static_cast<u64>(g.get("cycles")->as_i64()))
         << key << ": pinned cycle count drifted (timing change!)";
+    for (const Counter& c : r.counters) {
+      const scenario::Json* section = g.get(c.group);
+      const scenario::Json* value =
+          section == nullptr ? nullptr : section->get(c.name);
+      if (value == nullptr) {
+        ADD_FAILURE() << key << ": " << c.group << "." << c.name
+                      << " not in golden (regenerate with "
+                      << "SCH_UPDATE_TIMING_ORACLE=1)";
+        continue;
+      }
+      EXPECT_EQ(c.value, static_cast<u64>(value->as_i64()))
+          << key << ": " << c.group << "." << c.name << " drifted";
+    }
     golden.erase(it);
   }
   for (const auto& [key, unused] : golden) {
