@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "common/stats.hpp"
 
 using namespace sch;
 using namespace sch::bench;

@@ -528,175 +528,88 @@ class AssemblerImpl {
       emit(isa::make_csr(m, 0, static_cast<u8>(z), a), line); return;
     }
 
-    // --- real instructions via the metadata table ------------------------
+    // --- real instructions, parsed by their ISA table row ------------------
     auto it = mnemonic_map().find(mn);
     if (it == mnemonic_map().end()) fail(line, "unknown mnemonic '" + mn + "'");
-    const Mnemonic m = it->second;
-    const isa::MnemonicInfo& mi = isa::info(m);
+    Instr in;
+    in.mn = it->second;
+    const isa::MnemonicInfo& mi = isa::info(in.mn);
 
-    auto reg = [&](isa::RegClass cls) -> u8 {
-      return cls == isa::RegClass::kFp ? c.fp_reg() : c.int_reg();
+    // Operands in rd, rs1, rs2, rs3 order, then the immediate. Zicsr puts the
+    // CSR after rd; loads, stores and jalr write rs1 as the base, imm(rs1).
+    const bool base_offset = isa::has_base_offset(mi);
+    bool first = true;
+    auto operand = [&] {
+      if (!first) c.comma();
+      first = false;
     };
-
-    // Xdma operand shapes (custom-1 space) before the stock format parsers.
-    switch (m) {
-      case Mnemonic::kDmSrc: case Mnemonic::kDmDst: {
-        const u8 rs1 = c.int_reg(); c.end();
-        emit(isa::make_i(m, 0, rs1, 0), line);
-        return;
-      }
-      case Mnemonic::kDmStr: {
-        const u8 rs1 = c.int_reg(); c.comma();
-        const u8 rs2 = c.int_reg(); c.end();
-        emit(isa::make_r(m, 0, rs1, rs2), line);
-        return;
-      }
-      case Mnemonic::kDmCpy: {
-        const u8 rd = c.int_reg(); c.comma();
-        const u8 rs1 = c.int_reg(); c.end();
-        emit(isa::make_i(m, rd, rs1, 0), line);
-        return;
-      }
-      case Mnemonic::kDmCpy2d: {
-        const u8 rd = c.int_reg(); c.comma();
-        const u8 rs1 = c.int_reg(); c.comma();
-        const u8 rs2 = c.int_reg(); c.end();
-        emit(isa::make_r(m, rd, rs1, rs2), line);
-        return;
-      }
-      case Mnemonic::kDmStat: {
-        const u8 rd = c.int_reg(); c.comma();
-        const i64 imm = c.imm_expr(); c.end();
-        if (!fits_simm(imm, 12)) fail(line, "immediate out of range");
-        emit(isa::make_i(m, rd, 0, static_cast<i32>(imm)), line);
-        return;
-      }
-      default:
-        break;
+    auto reg = [&](isa::RegClass cls, u8& field) {
+      if (cls != isa::RegClass::kInt && cls != isa::RegClass::kFp) return;
+      operand();
+      field = cls == isa::RegClass::kFp ? c.fp_reg() : c.int_reg();
+    };
+    i64 imm = 0;
+    i64 zimm = 0;
+    // jal's rd is optional: "jal target" links ra.
+    if (mi.imm == isa::ImmKind::kJ && !(c.peek().kind == TokKind::kIdent &&
+                                        isa::parse_int_reg(c.peek().text).has_value())) {
+      in.rd = isa::kRa;
+    } else {
+      reg(mi.rd, in.rd);
     }
+    if (mi.imm == isa::ImmKind::kCsr) { operand(); imm = c.csr_address(); }
+    if (mi.rs1 == isa::RegClass::kZimm) { operand(); zimm = c.imm_expr(); }
+    if (!base_offset) reg(mi.rs1, in.rs1);
+    reg(mi.rs2, in.rs2);
+    reg(mi.rs3, in.rs3);
+    if (base_offset) {
+      operand();
+      if (in.mn == Mnemonic::kJalr && c.peek().kind == TokKind::kIdent) {
+        // jalr also takes "rd, rs1[, imm]".
+        in.rs1 = c.int_reg();
+        if (!c.at_end()) { c.comma(); imm = c.imm_expr(); }
+      } else {
+        const auto [base, offset] = c.mem_operand();
+        in.rs1 = base;
+        imm = offset;
+      }
+    } else if (mi.imm == isa::ImmKind::kB || mi.imm == isa::ImmKind::kJ) {
+      operand();
+      imm = c.target_offset(pc);
+    } else if (mi.imm != isa::ImmKind::kNone && mi.imm != isa::ImmKind::kCsr) {
+      operand();
+      imm = c.imm_expr();
+    }
+    c.end();
 
-    switch (mi.fmt) {
-      case isa::Format::kR: {
-        const u8 rd = reg(mi.rd); c.comma();
-        const u8 rs1 = reg(mi.rs1);
-        u8 rs2 = 0;
-        if (mi.rs2 != isa::RegClass::kNone) { c.comma(); rs2 = reg(mi.rs2); }
-        c.end();
-        emit(isa::make_r(m, rd, rs1, rs2), line);
-        return;
-      }
-      case isa::Format::kR4: {
-        const u8 rd = c.fp_reg(); c.comma();
-        const u8 rs1 = c.fp_reg(); c.comma();
-        const u8 rs2 = c.fp_reg(); c.comma();
-        const u8 rs3 = c.fp_reg(); c.end();
-        emit(isa::make_r4(m, rd, rs1, rs2, rs3), line);
-        return;
-      }
-      case isa::Format::kI: {
-        if (mi.exec == isa::ExecClass::kLoad || mi.exec == isa::ExecClass::kFpLoad) {
-          const u8 rd = reg(mi.rd); c.comma();
-          auto [base, imm] = c.mem_operand(); c.end();
-          emit(isa::make_i(m, rd, base, imm), line);
-          return;
-        }
-        if (m == Mnemonic::kJalr) {
-          const u8 rd = c.int_reg(); c.comma();
-          if (c.peek().kind == TokKind::kIdent) {
-            const u8 rs1 = c.int_reg();
-            i64 imm = 0;
-            if (!c.at_end()) { c.comma(); imm = c.imm_expr(); }
-            c.end();
-            emit(isa::make_i(m, rd, rs1, static_cast<i32>(imm)), line);
-          } else {
-            auto [base, imm] = c.mem_operand(); c.end();
-            emit(isa::make_i(m, rd, base, imm), line);
-          }
-          return;
-        }
-        if (m == Mnemonic::kFrepO || m == Mnemonic::kFrepI || m == Mnemonic::kScfgw) {
-          const u8 rs1 = c.int_reg(); c.comma();
-          const i64 imm = c.imm_expr(); c.end();
+    if (!base_offset) {
+      switch (mi.imm) {
+        case isa::ImmKind::kI:
           if (!fits_simm(imm, 12)) fail(line, "immediate out of range");
-          emit(isa::make_i(m, 0, rs1, static_cast<i32>(imm)), line);
-          return;
-        }
-        if (m == Mnemonic::kScfgr) {
-          const u8 rd = c.int_reg(); c.comma();
-          const i64 imm = c.imm_expr(); c.end();
-          if (!fits_simm(imm, 12)) fail(line, "immediate out of range");
-          emit(isa::make_i(m, rd, 0, static_cast<i32>(imm)), line);
-          return;
-        }
-        const u8 rd = c.int_reg(); c.comma();
-        const u8 rs1 = c.int_reg(); c.comma();
-        const i64 imm = c.imm_expr(); c.end();
-        const bool shift = m == Mnemonic::kSlli || m == Mnemonic::kSrli || m == Mnemonic::kSrai;
-        if (shift ? !fits_uimm(imm, 5) : !fits_simm(imm, 12)) {
-          fail(line, "immediate out of range");
-        }
-        emit(isa::make_i(m, rd, rs1, static_cast<i32>(imm)), line);
-        return;
-      }
-      case isa::Format::kS: {
-        const u8 rs2 = reg(mi.rs2); c.comma();
-        auto [base, imm] = c.mem_operand(); c.end();
-        emit(isa::make_s(m, base, rs2, imm), line);
-        return;
-      }
-      case isa::Format::kB: {
-        const u8 rs1 = c.int_reg(); c.comma();
-        const u8 rs2 = c.int_reg(); c.comma();
-        const i64 off = c.target_offset(pc); c.end();
-        if (!fits_simm(off, 13)) fail(line, "branch target out of range");
-        emit(isa::make_b(m, rs1, rs2, static_cast<i32>(off)), line);
-        return;
-      }
-      case isa::Format::kU: {
-        const u8 rd = c.int_reg(); c.comma();
-        const i64 imm = c.imm_expr(); c.end();
-        if (!fits_uimm(imm, 20)) fail(line, "20-bit immediate out of range");
-        emit(isa::make_u(m, rd, static_cast<i32>(imm)), line);
-        return;
-      }
-      case isa::Format::kJ: {
-        u8 rd = isa::kRa;
-        // Optional rd operand: "jal target" or "jal rd, target".
-        if (c.peek().kind == TokKind::kIdent &&
-            isa::parse_int_reg(c.peek().text).has_value()) {
-          rd = c.int_reg();
-          c.comma();
-        }
-        const i64 off = c.target_offset(pc); c.end();
-        if (!fits_simm(off, 21)) fail(line, "jump target out of range");
-        emit(isa::make_j(m, rd, static_cast<i32>(off)), line);
-        return;
-      }
-      case isa::Format::kCsr: {
-        const u8 rd = c.int_reg(); c.comma();
-        const u32 a = c.csr_address(); c.comma();
-        const u8 rs1 = c.int_reg(); c.end();
-        emit(isa::make_csr(m, rd, rs1, a), line);
-        return;
-      }
-      case isa::Format::kCsrI: {
-        const u8 rd = c.int_reg(); c.comma();
-        const u32 a = c.csr_address(); c.comma();
-        const i64 z = c.imm_expr(); c.end();
-        if (!fits_uimm(z, 5)) fail(line, "zimm out of range");
-        emit(isa::make_csr(m, rd, static_cast<u8>(z), a), line);
-        return;
-      }
-      case isa::Format::kNone: {
-        c.end();
-        Instr in;
-        in.mn = m;
-        in.raw = isa::encode(in);
-        emit(in, line);
-        return;
+          break;
+        case isa::ImmKind::kShamt:
+          if (!fits_uimm(imm, 5)) fail(line, "immediate out of range");
+          break;
+        case isa::ImmKind::kU:
+          if (!fits_uimm(imm, 20)) fail(line, "20-bit immediate out of range");
+          break;
+        case isa::ImmKind::kB:
+          if (!fits_simm(imm, 13)) fail(line, "branch target out of range");
+          break;
+        case isa::ImmKind::kJ:
+          if (!fits_simm(imm, 21)) fail(line, "jump target out of range");
+          break;
+        default:
+          break;
       }
     }
-    fail(line, "internal: unhandled format");
+    if (mi.rs1 == isa::RegClass::kZimm) {
+      if (!fits_uimm(zimm, 5)) fail(line, "zimm out of range");
+      in.rs1 = static_cast<u8>(zimm);
+    }
+    in.imm = static_cast<i32>(imm);
+    in.raw = isa::encode(in);
+    emit(in, line);
   }
 
   Program prog_;

@@ -1,7 +1,6 @@
 // Bit-manipulation helpers for instruction encoding/decoding and address math.
 #pragma once
 
-#include <bit>
 #include <type_traits>
 
 #include "common/types.hpp"
@@ -44,9 +43,6 @@ constexpr bool fits_uimm(i64 value, unsigned width) {
 
 /// True when `v` is a power of two (and nonzero).
 constexpr bool is_pow2(u64 v) { return v != 0 && (v & (v - 1)) == 0; }
-
-/// log2 of a power of two.
-constexpr unsigned log2_exact(u64 v) { return static_cast<unsigned>(std::countr_zero(v)); }
 
 /// Align `v` up to a power-of-two boundary.
 constexpr u64 align_up(u64 v, u64 align) { return (v + align - 1) & ~(align - 1); }

@@ -23,7 +23,6 @@ class FixedQueue {
   [[nodiscard]] bool full() const { return size_ >= capacity_; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t free_slots() const { return capacity_ - size_; }
 
   void push(T value) {
     if (full()) {

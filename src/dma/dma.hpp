@@ -156,7 +156,6 @@ class Engine {
   [[nodiscard]] u32 outstanding(u32 hart) const {
     return fe_[hart].issued - fe_[hart].completed;
   }
-  [[nodiscard]] const FrontEnd& front_end(u32 hart) const { return fe_[hart]; }
 
   /// No transfer queued or in flight on any channel.
   [[nodiscard]] bool idle() const;

@@ -5,323 +5,52 @@
 namespace sch::isa {
 namespace {
 
-Instr invalid(u32 raw) {
-  Instr i;
-  i.raw = raw;
-  return i;
-}
-
-i32 imm_i(u32 w) { return sign_extend(bits(w, 31, 20), 12); }
-i32 imm_s(u32 w) {
-  return sign_extend((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12);
-}
-i32 imm_b(u32 w) {
-  const u32 u = (bit(w, 31) << 12) | (bit(w, 7) << 11) |
-                (bits(w, 30, 25) << 5) | (bits(w, 11, 8) << 1);
-  return sign_extend(u, 13);
-}
-i32 imm_j(u32 w) {
-  const u32 u = (bit(w, 31) << 20) | (bits(w, 19, 12) << 12) |
-                (bit(w, 20) << 11) | (bits(w, 30, 21) << 1);
-  return sign_extend(u, 21);
-}
-
-Instr fill(Mnemonic mn, u32 w) {
-  Instr i;
-  i.mn = mn;
-  i.raw = w;
-  i.rd = static_cast<u8>(bits(w, 11, 7));
-  i.rs1 = static_cast<u8>(bits(w, 19, 15));
-  i.rs2 = static_cast<u8>(bits(w, 24, 20));
-  i.rs3 = static_cast<u8>(bits(w, 31, 27));
-  i.rm = static_cast<u8>(bits(w, 14, 12));
-  return i;
-}
-
-Instr decode_op_fp(u32 w) {
-  const u32 funct5 = bits(w, 31, 27);
-  const u32 fmt = bits(w, 26, 25);
-  const u32 f3 = bits(w, 14, 12);
-  const u32 rs2 = bits(w, 24, 20);
-  if (fmt > 1) return invalid(w);
-  const bool d = fmt == 1;
-  Mnemonic mn = Mnemonic::kInvalid;
-  switch (funct5) {
-    case 0x00: mn = d ? Mnemonic::kFaddD : Mnemonic::kFaddS; break;
-    case 0x01: mn = d ? Mnemonic::kFsubD : Mnemonic::kFsubS; break;
-    case 0x02: mn = d ? Mnemonic::kFmulD : Mnemonic::kFmulS; break;
-    case 0x03: mn = d ? Mnemonic::kFdivD : Mnemonic::kFdivS; break;
-    case 0x04:
-      switch (f3) {
-        case 0: mn = d ? Mnemonic::kFsgnjD : Mnemonic::kFsgnjS; break;
-        case 1: mn = d ? Mnemonic::kFsgnjnD : Mnemonic::kFsgnjnS; break;
-        case 2: mn = d ? Mnemonic::kFsgnjxD : Mnemonic::kFsgnjxS; break;
-        default: return invalid(w);
-      }
-      break;
-    case 0x05:
-      switch (f3) {
-        case 0: mn = d ? Mnemonic::kFminD : Mnemonic::kFminS; break;
-        case 1: mn = d ? Mnemonic::kFmaxD : Mnemonic::kFmaxS; break;
-        default: return invalid(w);
-      }
-      break;
-    case 0x08:
-      if (!d && rs2 == 1) mn = Mnemonic::kFcvtSD;
-      else if (d && rs2 == 0) mn = Mnemonic::kFcvtDS;
-      else return invalid(w);
-      break;
-    case 0x0B:
-      if (rs2 != 0) return invalid(w);
-      mn = d ? Mnemonic::kFsqrtD : Mnemonic::kFsqrtS;
-      break;
-    case 0x14:
-      switch (f3) {
-        case 2: mn = d ? Mnemonic::kFeqD : Mnemonic::kFeqS; break;
-        case 1: mn = d ? Mnemonic::kFltD : Mnemonic::kFltS; break;
-        case 0: mn = d ? Mnemonic::kFleD : Mnemonic::kFleS; break;
-        default: return invalid(w);
-      }
-      break;
-    case 0x18:
-      if (rs2 == 0) mn = d ? Mnemonic::kFcvtWD : Mnemonic::kFcvtWS;
-      else if (rs2 == 1) mn = d ? Mnemonic::kFcvtWuD : Mnemonic::kFcvtWuS;
-      else return invalid(w);
-      break;
-    case 0x1A:
-      if (rs2 == 0) mn = d ? Mnemonic::kFcvtDW : Mnemonic::kFcvtSW;
-      else if (rs2 == 1) mn = d ? Mnemonic::kFcvtDWu : Mnemonic::kFcvtSWu;
-      else return invalid(w);
-      break;
-    case 0x1C:
-      if (rs2 != 0) return invalid(w);
-      if (f3 == 0 && !d) mn = Mnemonic::kFmvXW;
-      else if (f3 == 1) mn = d ? Mnemonic::kFclassD : Mnemonic::kFclassS;
-      else return invalid(w);
-      break;
-    case 0x1E:
-      if (rs2 != 0 || f3 != 0 || d) return invalid(w);
-      mn = Mnemonic::kFmvWX;
-      break;
-    default:
-      return invalid(w);
+/// The immediate of `kind` held in `w`, sign-extended where the kind is.
+i32 extract_imm(ImmKind kind, u32 w) {
+  switch (kind) {
+    case ImmKind::kNone:
+      return 0;
+    case ImmKind::kI:
+      return sign_extend(bits(w, 31, 20), 12);
+    case ImmKind::kS:
+      return sign_extend((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12);
+    case ImmKind::kB:
+      return sign_extend((bit(w, 31) << 12) | (bit(w, 7) << 11) |
+                             (bits(w, 30, 25) << 5) | (bits(w, 11, 8) << 1),
+                         13);
+    case ImmKind::kU:
+      return static_cast<i32>(bits(w, 31, 12));
+    case ImmKind::kJ:
+      return sign_extend((bit(w, 31) << 20) | (bits(w, 19, 12) << 12) |
+                             (bit(w, 20) << 11) | (bits(w, 30, 21) << 1),
+                         21);
+    case ImmKind::kShamt:
+      return static_cast<i32>(bits(w, 24, 20));
+    case ImmKind::kCsr:
+      return static_cast<i32>(bits(w, 31, 20));
   }
-  Instr i = fill(mn, w);
-  i.rs3 = 0;
-  i.imm = 0;
-  // funct5 groups where the rs2 field is an opcode modifier, not a register.
-  if (funct5 == 0x08 || funct5 == 0x0B || funct5 == 0x18 || funct5 == 0x1A ||
-      funct5 == 0x1C || funct5 == 0x1E) {
-    i.rs2 = 0;
-  }
-  return i;
+  return 0;
 }
 
 } // namespace
 
 Instr decode(u32 w) {
-  const u32 opcode = bits(w, 6, 0);
-  const u32 f3 = bits(w, 14, 12);
-  const u32 f7 = bits(w, 31, 25);
-
-  switch (opcode) {
-    case 0x37: { // LUI
-      Instr i = fill(Mnemonic::kLui, w);
-      i.imm = static_cast<i32>(bits(w, 31, 12));
-      i.rs1 = i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x17: { // AUIPC
-      Instr i = fill(Mnemonic::kAuipc, w);
-      i.imm = static_cast<i32>(bits(w, 31, 12));
-      i.rs1 = i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x6F: { // JAL
-      Instr i = fill(Mnemonic::kJal, w);
-      i.imm = imm_j(w);
-      i.rs1 = i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x67: { // JALR
-      if (f3 != 0) return invalid(w);
-      Instr i = fill(Mnemonic::kJalr, w);
-      i.imm = imm_i(w);
-      i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x63: { // BRANCH
-      static constexpr Mnemonic kB[] = {Mnemonic::kBeq,  Mnemonic::kBne,
-                                        Mnemonic::kInvalid, Mnemonic::kInvalid,
-                                        Mnemonic::kBlt,  Mnemonic::kBge,
-                                        Mnemonic::kBltu, Mnemonic::kBgeu};
-      if (kB[f3] == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(kB[f3], w);
-      i.imm = imm_b(w);
-      i.rd = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x03: { // LOAD
-      static constexpr Mnemonic kL[] = {Mnemonic::kLb, Mnemonic::kLh,
-                                        Mnemonic::kLw, Mnemonic::kInvalid,
-                                        Mnemonic::kLbu, Mnemonic::kLhu,
-                                        Mnemonic::kInvalid, Mnemonic::kInvalid};
-      if (kL[f3] == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(kL[f3], w);
-      i.imm = imm_i(w);
-      i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x07: { // LOAD-FP
-      Mnemonic mn = f3 == 2 ? Mnemonic::kFlw : f3 == 3 ? Mnemonic::kFld : Mnemonic::kInvalid;
-      if (mn == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(mn, w);
-      i.imm = imm_i(w);
-      i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x23: { // STORE
-      static constexpr Mnemonic kS[] = {Mnemonic::kSb, Mnemonic::kSh,
-                                        Mnemonic::kSw, Mnemonic::kInvalid};
-      if (f3 > 2) return invalid(w);
-      Instr i = fill(kS[f3], w);
-      i.imm = imm_s(w);
-      i.rd = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x27: { // STORE-FP
-      Mnemonic mn = f3 == 2 ? Mnemonic::kFsw : f3 == 3 ? Mnemonic::kFsd : Mnemonic::kInvalid;
-      if (mn == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(mn, w);
-      i.imm = imm_s(w);
-      i.rd = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x13: { // OP-IMM
-      Mnemonic mn;
-      switch (f3) {
-        case 0x0: mn = Mnemonic::kAddi; break;
-        case 0x2: mn = Mnemonic::kSlti; break;
-        case 0x3: mn = Mnemonic::kSltiu; break;
-        case 0x4: mn = Mnemonic::kXori; break;
-        case 0x6: mn = Mnemonic::kOri; break;
-        case 0x7: mn = Mnemonic::kAndi; break;
-        case 0x1:
-          if (f7 != 0) return invalid(w);
-          mn = Mnemonic::kSlli;
-          break;
-        case 0x5:
-          if (f7 == 0x00) mn = Mnemonic::kSrli;
-          else if (f7 == 0x20) mn = Mnemonic::kSrai;
-          else return invalid(w);
-          break;
-        default: return invalid(w);
-      }
-      Instr i = fill(mn, w);
-      i.imm = (mn == Mnemonic::kSlli || mn == Mnemonic::kSrli || mn == Mnemonic::kSrai)
-                  ? static_cast<i32>(bits(w, 24, 20))
-                  : imm_i(w);
-      i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x33: { // OP
-      Mnemonic mn = Mnemonic::kInvalid;
-      if (f7 == 0x00) {
-        static constexpr Mnemonic kA[] = {Mnemonic::kAdd, Mnemonic::kSll,
-                                          Mnemonic::kSlt, Mnemonic::kSltu,
-                                          Mnemonic::kXor, Mnemonic::kSrl,
-                                          Mnemonic::kOr,  Mnemonic::kAnd};
-        mn = kA[f3];
-      } else if (f7 == 0x20) {
-        if (f3 == 0) mn = Mnemonic::kSub;
-        else if (f3 == 5) mn = Mnemonic::kSra;
-      } else if (f7 == 0x01) {
-        static constexpr Mnemonic kM[] = {Mnemonic::kMul,  Mnemonic::kMulh,
-                                          Mnemonic::kMulhsu, Mnemonic::kMulhu,
-                                          Mnemonic::kDiv,  Mnemonic::kDivu,
-                                          Mnemonic::kRem,  Mnemonic::kRemu};
-        mn = kM[f3];
-      }
-      if (mn == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(mn, w);
-      i.rs3 = 0; i.rm = 0; i.imm = 0;
-      return i;
-    }
-    case 0x0F: { // MISC-MEM
-      Instr i = fill(Mnemonic::kFence, w);
-      i.rd = i.rs1 = i.rs2 = i.rs3 = 0; i.rm = 0; i.imm = 0;
-      return i;
-    }
-    case 0x73: { // SYSTEM
-      if (f3 == 0) {
-        if (w == 0x00000073) { Instr i; i.mn = Mnemonic::kEcall; i.raw = w; return i; }
-        if (w == 0x00100073) { Instr i; i.mn = Mnemonic::kEbreak; i.raw = w; return i; }
-        return invalid(w);
-      }
-      static constexpr Mnemonic kC[] = {Mnemonic::kInvalid, Mnemonic::kCsrrw,
-                                        Mnemonic::kCsrrs,  Mnemonic::kCsrrc,
-                                        Mnemonic::kInvalid, Mnemonic::kCsrrwi,
-                                        Mnemonic::kCsrrsi, Mnemonic::kCsrrci};
-      if (kC[f3] == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(kC[f3], w);
-      i.imm = static_cast<i32>(bits(w, 31, 20));
-      i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x43: case 0x47: case 0x4B: case 0x4F: { // FMADD family
-      const u32 fmt = bits(w, 26, 25);
-      if (fmt > 1) return invalid(w);
-      const bool d = fmt == 1;
-      Mnemonic mn;
-      switch (opcode) {
-        case 0x43: mn = d ? Mnemonic::kFmaddD : Mnemonic::kFmaddS; break;
-        case 0x47: mn = d ? Mnemonic::kFmsubD : Mnemonic::kFmsubS; break;
-        case 0x4B: mn = d ? Mnemonic::kFnmsubD : Mnemonic::kFnmsubS; break;
-        default:   mn = d ? Mnemonic::kFnmaddD : Mnemonic::kFnmaddS; break;
-      }
-      Instr i = fill(mn, w);
-      i.imm = 0;
-      return i;
-    }
-    case 0x53:
-      return decode_op_fp(w);
-    case 0x0B: { // custom-0: frep
-      Mnemonic mn = f3 == 0 ? Mnemonic::kFrepO : f3 == 1 ? Mnemonic::kFrepI : Mnemonic::kInvalid;
-      if (mn == Mnemonic::kInvalid) return invalid(w);
-      Instr i = fill(mn, w);
-      i.imm = imm_i(w);
-      i.rd = i.rs2 = i.rs3 = 0; i.rm = 0;
-      return i;
-    }
-    case 0x2B: { // custom-1: scfg (f3 0-1) + Xdma (f3 2-7)
-      static constexpr Mnemonic kD[] = {
-          Mnemonic::kScfgw, Mnemonic::kScfgr, Mnemonic::kDmSrc,
-          Mnemonic::kDmDst, Mnemonic::kDmStr, Mnemonic::kDmCpy,
-          Mnemonic::kDmCpy2d, Mnemonic::kDmStat};
-      const Mnemonic mn = kD[f3];
-      Instr i = fill(mn, w);
-      i.rs3 = 0; i.rm = 0; i.imm = 0;
-      switch (mn) {
-        case Mnemonic::kScfgw:
-          i.imm = imm_i(w); i.rd = 0; i.rs2 = 0; break;
-        case Mnemonic::kScfgr:
-          i.imm = imm_i(w); i.rs1 = 0; i.rs2 = 0; break;
-        case Mnemonic::kDmSrc: case Mnemonic::kDmDst:
-          i.rd = 0; i.rs2 = 0; break;
-        case Mnemonic::kDmStr:
-          i.rd = 0; break;
-        case Mnemonic::kDmCpy:
-          i.rs2 = 0; break;
-        case Mnemonic::kDmCpy2d:
-          break;
-        default: // kDmStat
-          i.imm = imm_i(w); i.rs1 = 0; i.rs2 = 0; break;
-      }
-      return i;
-    }
-    default:
-      return invalid(w);
+  Instr in;
+  in.raw = w;
+  for (u16 m = 1; m < static_cast<u16>(Mnemonic::kCount); ++m) {
+    const auto mn = static_cast<Mnemonic>(m);
+    const MnemonicInfo& mi = info(mn);
+    if ((w & mi.mask) != mi.match) continue;
+    in.mn = mn;
+    if (mi.rd != RegClass::kNone) in.rd = static_cast<u8>(bits(w, 11, 7));
+    if (mi.rs1 != RegClass::kNone) in.rs1 = static_cast<u8>(bits(w, 19, 15));
+    if (mi.rs2 != RegClass::kNone) in.rs2 = static_cast<u8>(bits(w, 24, 20));
+    if (mi.rs3 != RegClass::kNone) in.rs3 = static_cast<u8>(bits(w, 31, 27));
+    if (mi.has_rm) in.rm = static_cast<u8>(bits(w, 14, 12));
+    in.imm = extract_imm(mi.imm, w);
+    break;
   }
+  return in;
 }
 
 } // namespace sch::isa

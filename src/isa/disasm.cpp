@@ -6,17 +6,6 @@
 #include "isa/reg.hpp"
 
 namespace sch::isa {
-namespace {
-
-std::string reg_name(RegClass cls, u8 r) {
-  switch (cls) {
-    case RegClass::kInt: return std::string(int_reg_name(r));
-    case RegClass::kFp: return std::string(fp_reg_name(r));
-    default: return "?";
-  }
-}
-
-} // namespace
 
 std::string disassemble(const Instr& in) {
   const MnemonicInfo& mi = in.meta();
@@ -24,78 +13,35 @@ std::string disassemble(const Instr& in) {
   os << mi.name;
   if (!in.valid()) return os.str();
 
-  auto rd = [&] { return reg_name(mi.rd, in.rd); };
-  auto rs1 = [&] { return reg_name(mi.rs1, in.rs1); };
-  auto rs2 = [&] { return reg_name(mi.rs2, in.rs2); };
-  auto rs3 = [&] { return reg_name(mi.rs3, in.rs3); };
-
-  // Xdma operand shapes do not follow the stock format printers.
-  switch (in.mn) {
-    case Mnemonic::kDmSrc: case Mnemonic::kDmDst:
-      os << " " << rs1();
-      return os.str();
-    case Mnemonic::kDmStr:
-      os << " " << rs1() << ", " << rs2();
-      return os.str();
-    case Mnemonic::kDmCpy:
-      os << " " << rd() << ", " << rs1();
-      return os.str();
-    case Mnemonic::kDmCpy2d:
-      os << " " << rd() << ", " << rs1() << ", " << rs2();
-      return os.str();
-    case Mnemonic::kDmStat:
-      os << " " << rd() << ", " << in.imm;
-      return os.str();
+  // Operands in rd, rs1, rs2, rs3 order, then the immediate. Zicsr puts the
+  // CSR after rd; loads, stores and jalr print rs1 as the base, imm(rs1).
+  const bool base_offset = has_base_offset(mi);
+  const char* sep = " ";
+  auto next = [&]() -> std::ostream& {
+    os << sep;
+    sep = ", ";
+    return os;
+  };
+  auto reg = [&](RegClass cls, u8 r) {
+    if (cls == RegClass::kInt) next() << int_reg_name(r);
+    if (cls == RegClass::kFp) next() << fp_reg_name(r);
+    if (cls == RegClass::kZimm) next() << static_cast<int>(r);
+  };
+  reg(mi.rd, in.rd);
+  if (mi.imm == ImmKind::kCsr) next() << "0x" << std::hex << in.imm << std::dec;
+  if (!base_offset) reg(mi.rs1, in.rs1);
+  reg(mi.rs2, in.rs2);
+  reg(mi.rs3, in.rs3);
+  switch (mi.imm) {
+    case ImmKind::kNone:
+    case ImmKind::kCsr:
+      break;
+    case ImmKind::kU:
+      next() << "0x" << std::hex << in.imm;
+      break;
     default:
-      break;
-  }
-
-  switch (mi.fmt) {
-    case Format::kR:
-      if (mi.rs2 == RegClass::kNone) {
-        os << " " << rd() << ", " << rs1();
-      } else {
-        os << " " << rd() << ", " << rs1() << ", " << rs2();
-      }
-      break;
-    case Format::kR4:
-      os << " " << rd() << ", " << rs1() << ", " << rs2() << ", " << rs3();
-      break;
-    case Format::kI:
-      if (mi.exec == ExecClass::kLoad || mi.exec == ExecClass::kFpLoad ||
-          in.mn == Mnemonic::kJalr) {
-        os << " " << rd() << ", " << in.imm << "(" << rs1() << ")";
-      } else if (in.mn == Mnemonic::kFrepO || in.mn == Mnemonic::kFrepI) {
-        os << " " << rs1() << ", " << in.imm;
-      } else if (in.mn == Mnemonic::kScfgw) {
-        os << " " << rs1() << ", " << in.imm;
-      } else if (in.mn == Mnemonic::kScfgr) {
-        os << " " << rd() << ", " << in.imm;
-      } else {
-        os << " " << rd() << ", " << rs1() << ", " << in.imm;
-      }
-      break;
-    case Format::kS:
-      os << " " << rs2() << ", " << in.imm << "(" << rs1() << ")";
-      break;
-    case Format::kB:
-      os << " " << rs1() << ", " << rs2() << ", " << in.imm;
-      break;
-    case Format::kU:
-      os << " " << rd() << ", 0x" << std::hex << in.imm;
-      break;
-    case Format::kJ:
-      os << " " << rd() << ", " << in.imm;
-      break;
-    case Format::kCsr:
-      os << " " << rd() << ", 0x" << std::hex << in.imm << std::dec << ", "
-         << reg_name(RegClass::kInt, in.rs1);
-      break;
-    case Format::kCsrI:
-      os << " " << rd() << ", 0x" << std::hex << in.imm << std::dec << ", "
-         << static_cast<int>(in.rs1);
-      break;
-    case Format::kNone:
+      next() << in.imm;
+      if (base_offset) os << "(" << int_reg_name(in.rs1) << ")";
       break;
   }
   return os.str();

@@ -2,249 +2,54 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <string>
 
 #include "common/bitfield.hpp"
 
 namespace sch::isa {
 namespace {
 
-// Major opcodes (RISC-V base opcode map, inst[6:0]).
-constexpr u32 kLoad = 0x03, kLoadFp = 0x07, kCustom0 = 0x0B, kMiscMem = 0x0F,
-              kOpImm = 0x13, kAuipcOp = 0x17, kStore = 0x23, kStoreFp = 0x27,
-              kCustom1 = 0x2B, kOp = 0x33, kLuiOp = 0x37, kMadd = 0x43,
-              kMsub = 0x47, kNmsub = 0x4B, kNmadd = 0x4F, kOpFp = 0x53,
-              kBranchOp = 0x63, kJalrOp = 0x67, kJalOp = 0x6F, kSystem = 0x73;
-
-struct RSpec { u32 opcode, funct3, funct7; };
-struct ISpec { u32 opcode, funct3; };
-
-RSpec r_spec(Mnemonic mn) {
-  switch (mn) {
-    case Mnemonic::kAdd:  return {kOp, 0x0, 0x00};
-    case Mnemonic::kSub:  return {kOp, 0x0, 0x20};
-    case Mnemonic::kSll:  return {kOp, 0x1, 0x00};
-    case Mnemonic::kSlt:  return {kOp, 0x2, 0x00};
-    case Mnemonic::kSltu: return {kOp, 0x3, 0x00};
-    case Mnemonic::kXor:  return {kOp, 0x4, 0x00};
-    case Mnemonic::kSrl:  return {kOp, 0x5, 0x00};
-    case Mnemonic::kSra:  return {kOp, 0x5, 0x20};
-    case Mnemonic::kOr:   return {kOp, 0x6, 0x00};
-    case Mnemonic::kAnd:  return {kOp, 0x7, 0x00};
-    case Mnemonic::kMul:    return {kOp, 0x0, 0x01};
-    case Mnemonic::kMulh:   return {kOp, 0x1, 0x01};
-    case Mnemonic::kMulhsu: return {kOp, 0x2, 0x01};
-    case Mnemonic::kMulhu:  return {kOp, 0x3, 0x01};
-    case Mnemonic::kDiv:    return {kOp, 0x4, 0x01};
-    case Mnemonic::kDivu:   return {kOp, 0x5, 0x01};
-    case Mnemonic::kRem:    return {kOp, 0x6, 0x01};
-    case Mnemonic::kRemu:   return {kOp, 0x7, 0x01};
-    default: throw std::logic_error("r_spec: not an integer R-type");
-  }
-}
-
-// FP OP encodings: funct7 = (funct5 << 2) | fmt, fmt: S=0, D=1.
-// `f3` < 0 means the rounding-mode field carries instr.rm.
-struct FpSpec { u32 funct5, fmt; i32 f3; u32 rs2_field; bool rs2_is_reg; };
-
-FpSpec fp_spec(Mnemonic mn) {
-  switch (mn) {
-    case Mnemonic::kFaddS:   return {0x00, 0, -1, 0, true};
-    case Mnemonic::kFaddD:   return {0x00, 1, -1, 0, true};
-    case Mnemonic::kFsubS:   return {0x01, 0, -1, 0, true};
-    case Mnemonic::kFsubD:   return {0x01, 1, -1, 0, true};
-    case Mnemonic::kFmulS:   return {0x02, 0, -1, 0, true};
-    case Mnemonic::kFmulD:   return {0x02, 1, -1, 0, true};
-    case Mnemonic::kFdivS:   return {0x03, 0, -1, 0, true};
-    case Mnemonic::kFdivD:   return {0x03, 1, -1, 0, true};
-    case Mnemonic::kFsgnjS:  return {0x04, 0, 0, 0, true};
-    case Mnemonic::kFsgnjnS: return {0x04, 0, 1, 0, true};
-    case Mnemonic::kFsgnjxS: return {0x04, 0, 2, 0, true};
-    case Mnemonic::kFsgnjD:  return {0x04, 1, 0, 0, true};
-    case Mnemonic::kFsgnjnD: return {0x04, 1, 1, 0, true};
-    case Mnemonic::kFsgnjxD: return {0x04, 1, 2, 0, true};
-    case Mnemonic::kFminS:   return {0x05, 0, 0, 0, true};
-    case Mnemonic::kFmaxS:   return {0x05, 0, 1, 0, true};
-    case Mnemonic::kFminD:   return {0x05, 1, 0, 0, true};
-    case Mnemonic::kFmaxD:   return {0x05, 1, 1, 0, true};
-    case Mnemonic::kFcvtSD:  return {0x08, 0, -1, 1, false};
-    case Mnemonic::kFcvtDS:  return {0x08, 1, -1, 0, false};
-    case Mnemonic::kFsqrtS:  return {0x0B, 0, -1, 0, false};
-    case Mnemonic::kFsqrtD:  return {0x0B, 1, -1, 0, false};
-    case Mnemonic::kFeqS:    return {0x14, 0, 2, 0, true};
-    case Mnemonic::kFltS:    return {0x14, 0, 1, 0, true};
-    case Mnemonic::kFleS:    return {0x14, 0, 0, 0, true};
-    case Mnemonic::kFeqD:    return {0x14, 1, 2, 0, true};
-    case Mnemonic::kFltD:    return {0x14, 1, 1, 0, true};
-    case Mnemonic::kFleD:    return {0x14, 1, 0, 0, true};
-    case Mnemonic::kFcvtWS:  return {0x18, 0, -1, 0, false};
-    case Mnemonic::kFcvtWuS: return {0x18, 0, -1, 1, false};
-    case Mnemonic::kFcvtWD:  return {0x18, 1, -1, 0, false};
-    case Mnemonic::kFcvtWuD: return {0x18, 1, -1, 1, false};
-    case Mnemonic::kFcvtSW:  return {0x1A, 0, -1, 0, false};
-    case Mnemonic::kFcvtSWu: return {0x1A, 0, -1, 1, false};
-    case Mnemonic::kFcvtDW:  return {0x1A, 1, -1, 0, false};
-    case Mnemonic::kFcvtDWu: return {0x1A, 1, -1, 1, false};
-    case Mnemonic::kFmvXW:   return {0x1C, 0, 0, 0, false};
-    case Mnemonic::kFclassS: return {0x1C, 0, 1, 0, false};
-    case Mnemonic::kFclassD: return {0x1C, 1, 1, 0, false};
-    case Mnemonic::kFmvWX:   return {0x1E, 0, 0, 0, false};
-    default: throw std::logic_error("fp_spec: not an FP R-type");
-  }
-}
-
-ISpec i_spec(Mnemonic mn) {
-  switch (mn) {
-    case Mnemonic::kJalr:  return {kJalrOp, 0x0};
-    case Mnemonic::kLb:    return {kLoad, 0x0};
-    case Mnemonic::kLh:    return {kLoad, 0x1};
-    case Mnemonic::kLw:    return {kLoad, 0x2};
-    case Mnemonic::kLbu:   return {kLoad, 0x4};
-    case Mnemonic::kLhu:   return {kLoad, 0x5};
-    case Mnemonic::kFlw:   return {kLoadFp, 0x2};
-    case Mnemonic::kFld:   return {kLoadFp, 0x3};
-    case Mnemonic::kAddi:  return {kOpImm, 0x0};
-    case Mnemonic::kSlti:  return {kOpImm, 0x2};
-    case Mnemonic::kSltiu: return {kOpImm, 0x3};
-    case Mnemonic::kXori:  return {kOpImm, 0x4};
-    case Mnemonic::kOri:   return {kOpImm, 0x6};
-    case Mnemonic::kAndi:  return {kOpImm, 0x7};
-    case Mnemonic::kSlli:  return {kOpImm, 0x1};
-    case Mnemonic::kSrli:  return {kOpImm, 0x5};
-    case Mnemonic::kSrai:  return {kOpImm, 0x5};
-    case Mnemonic::kFrepO: return {kCustom0, 0x0};
-    case Mnemonic::kFrepI: return {kCustom0, 0x1};
-    case Mnemonic::kScfgw: return {kCustom1, 0x0};
-    case Mnemonic::kScfgr: return {kCustom1, 0x1};
-    case Mnemonic::kDmSrc: return {kCustom1, 0x2};
-    case Mnemonic::kDmDst: return {kCustom1, 0x3};
-    case Mnemonic::kDmCpy: return {kCustom1, 0x5};
-    case Mnemonic::kDmStat: return {kCustom1, 0x7};
-    default: throw std::logic_error("i_spec: not an I-type");
-  }
-}
-
-u32 enc_i(u32 opcode, u32 f3, u8 rd, u8 rs1, i32 imm) {
-  assert(fits_simm(imm, 12));
-  return place(static_cast<u32>(imm), 12, 20) | place(rs1, 5, 15) |
-         place(f3, 3, 12) | place(rd, 5, 7) | opcode;
-}
-
-u32 enc_s(u32 opcode, u32 f3, u8 rs1, u8 rs2, i32 imm) {
-  assert(fits_simm(imm, 12));
+/// The immediate's bits at their places in the word.
+u32 place_imm(ImmKind kind, i32 imm) {
   const u32 u = static_cast<u32>(imm);
-  return place(bits(u, 11, 5), 7, 25) | place(rs2, 5, 20) | place(rs1, 5, 15) |
-         place(f3, 3, 12) | place(bits(u, 4, 0), 5, 7) | opcode;
-}
-
-u32 enc_b(u32 opcode, u32 f3, u8 rs1, u8 rs2, i32 offset) {
-  assert(fits_simm(offset, 13) && (offset & 1) == 0);
-  const u32 u = static_cast<u32>(offset);
-  return place(bit(u, 12), 1, 31) | place(bits(u, 10, 5), 6, 25) |
-         place(rs2, 5, 20) | place(rs1, 5, 15) | place(f3, 3, 12) |
-         place(bits(u, 4, 1), 4, 8) | place(bit(u, 11), 1, 7) | opcode;
-}
-
-u32 enc_j(u32 opcode, u8 rd, i32 offset) {
-  assert(fits_simm(offset, 21) && (offset & 1) == 0);
-  const u32 u = static_cast<u32>(offset);
-  return place(bit(u, 20), 1, 31) | place(bits(u, 10, 1), 10, 21) |
-         place(bit(u, 11), 1, 20) | place(bits(u, 19, 12), 8, 12) |
-         place(rd, 5, 7) | opcode;
+  switch (kind) {
+    case ImmKind::kNone:
+      return 0;
+    case ImmKind::kI:
+      assert(fits_simm(imm, 12));
+      return place(u, 12, 20);
+    case ImmKind::kS:
+      assert(fits_simm(imm, 12));
+      return place(bits(u, 11, 5), 7, 25) | place(bits(u, 4, 0), 5, 7);
+    case ImmKind::kB:
+      assert(fits_simm(imm, 13) && (imm & 1) == 0);
+      return place(bit(u, 12), 1, 31) | place(bits(u, 10, 5), 6, 25) |
+             place(bits(u, 4, 1), 4, 8) | place(bit(u, 11), 1, 7);
+    case ImmKind::kU:
+      return place(u, 20, 12);
+    case ImmKind::kJ:
+      assert(fits_simm(imm, 21) && (imm & 1) == 0);
+      return place(bit(u, 20), 1, 31) | place(bits(u, 10, 1), 10, 21) |
+             place(bit(u, 11), 1, 20) | place(bits(u, 19, 12), 8, 12);
+    case ImmKind::kShamt:
+      return place(u, 5, 20);
+    case ImmKind::kCsr:
+      return place(u, 12, 20);
+  }
+  return 0;
 }
 
 } // namespace
 
 u32 encode(const Instr& in) {
+  if (!in.valid()) throw std::logic_error("encode: invalid mnemonic");
   const MnemonicInfo& mi = info(in.mn);
-  switch (in.mn) {
-    case Mnemonic::kLui:
-      return place(static_cast<u32>(in.imm), 20, 12) | place(in.rd, 5, 7) | kLuiOp;
-    case Mnemonic::kAuipc:
-      return place(static_cast<u32>(in.imm), 20, 12) | place(in.rd, 5, 7) | kAuipcOp;
-    case Mnemonic::kJal:
-      return enc_j(kJalOp, in.rd, in.imm);
-    case Mnemonic::kBeq:  return enc_b(kBranchOp, 0x0, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kBne:  return enc_b(kBranchOp, 0x1, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kBlt:  return enc_b(kBranchOp, 0x4, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kBge:  return enc_b(kBranchOp, 0x5, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kBltu: return enc_b(kBranchOp, 0x6, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kBgeu: return enc_b(kBranchOp, 0x7, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kSb: return enc_s(kStore, 0x0, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kSh: return enc_s(kStore, 0x1, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kSw: return enc_s(kStore, 0x2, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kFsw: return enc_s(kStoreFp, 0x2, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kFsd: return enc_s(kStoreFp, 0x3, in.rs1, in.rs2, in.imm);
-    case Mnemonic::kSlli:
-      return enc_i(kOpImm, 0x1, in.rd, in.rs1, in.imm & 0x1F);
-    case Mnemonic::kSrli:
-      return enc_i(kOpImm, 0x5, in.rd, in.rs1, in.imm & 0x1F);
-    case Mnemonic::kSrai:
-      return enc_i(kOpImm, 0x5, in.rd, in.rs1, (in.imm & 0x1F) | 0x400);
-    case Mnemonic::kFence:  return 0x0000000F;
-    case Mnemonic::kEcall:  return 0x00000073;
-    case Mnemonic::kEbreak: return 0x00100073;
-    case Mnemonic::kCsrrw:
-      return enc_i(kSystem, 0x1, in.rd, in.rs1, 0) | place(static_cast<u32>(in.imm), 12, 20);
-    case Mnemonic::kCsrrs:
-      return enc_i(kSystem, 0x2, in.rd, in.rs1, 0) | place(static_cast<u32>(in.imm), 12, 20);
-    case Mnemonic::kCsrrc:
-      return enc_i(kSystem, 0x3, in.rd, in.rs1, 0) | place(static_cast<u32>(in.imm), 12, 20);
-    case Mnemonic::kCsrrwi:
-      return enc_i(kSystem, 0x5, in.rd, in.rs1, 0) | place(static_cast<u32>(in.imm), 12, 20);
-    case Mnemonic::kCsrrsi:
-      return enc_i(kSystem, 0x6, in.rd, in.rs1, 0) | place(static_cast<u32>(in.imm), 12, 20);
-    case Mnemonic::kCsrrci:
-      return enc_i(kSystem, 0x7, in.rd, in.rs1, 0) | place(static_cast<u32>(in.imm), 12, 20);
-    // Xdma two-source forms use an R-type layout in the custom-1 space.
-    case Mnemonic::kDmStr:
-      return place(in.rs2, 5, 20) | place(in.rs1, 5, 15) | place(0x4u, 3, 12) |
-             kCustom1;
-    case Mnemonic::kDmCpy2d:
-      return place(in.rs2, 5, 20) | place(in.rs1, 5, 15) | place(0x6u, 3, 12) |
-             place(in.rd, 5, 7) | kCustom1;
-    default:
-      break;
-  }
-
-  switch (mi.fmt) {
-    case Format::kR: {
-      if (mi.exec == ExecClass::kIntAlu || mi.exec == ExecClass::kIntMul ||
-          mi.exec == ExecClass::kIntDiv) {
-        const RSpec s = r_spec(in.mn);
-        return place(s.funct7, 7, 25) | place(in.rs2, 5, 20) |
-               place(in.rs1, 5, 15) | place(s.funct3, 3, 12) |
-               place(in.rd, 5, 7) | s.opcode;
-      }
-      const FpSpec s = fp_spec(in.mn);
-      const u32 funct7 = (s.funct5 << 2) | s.fmt;
-      const u32 f3 = s.f3 >= 0 ? static_cast<u32>(s.f3) : in.rm;
-      const u32 rs2 = s.rs2_is_reg ? in.rs2 : s.rs2_field;
-      return place(funct7, 7, 25) | place(rs2, 5, 20) | place(in.rs1, 5, 15) |
-             place(f3, 3, 12) | place(in.rd, 5, 7) | kOpFp;
-    }
-    case Format::kR4: {
-      u32 opcode = 0;
-      switch (in.mn) {
-        case Mnemonic::kFmaddS: case Mnemonic::kFmaddD: opcode = kMadd; break;
-        case Mnemonic::kFmsubS: case Mnemonic::kFmsubD: opcode = kMsub; break;
-        case Mnemonic::kFnmsubS: case Mnemonic::kFnmsubD: opcode = kNmsub; break;
-        case Mnemonic::kFnmaddS: case Mnemonic::kFnmaddD: opcode = kNmadd; break;
-        default: throw std::logic_error("encode: bad R4 mnemonic");
-      }
-      const u32 fmt = mi.is_single ? 0u : 1u;
-      return place(in.rs3, 5, 27) | place(fmt, 2, 25) | place(in.rs2, 5, 20) |
-             place(in.rs1, 5, 15) | place(in.rm, 3, 12) | place(in.rd, 5, 7) |
-             opcode;
-    }
-    case Format::kI: {
-      const ISpec s = i_spec(in.mn);
-      return enc_i(s.opcode, s.funct3, in.rd, in.rs1, in.imm);
-    }
-    default:
-      throw std::logic_error(std::string("encode: unhandled mnemonic ") +
-                             std::string(name(in.mn)));
-  }
+  u32 operands = place_imm(mi.imm, in.imm);
+  if (mi.rd != RegClass::kNone) operands |= place(in.rd, 5, 7);
+  if (mi.rs1 != RegClass::kNone) operands |= place(in.rs1, 5, 15);
+  if (mi.rs2 != RegClass::kNone) operands |= place(in.rs2, 5, 20);
+  if (mi.rs3 != RegClass::kNone) operands |= place(in.rs3, 5, 27);
+  if (mi.has_rm) operands |= place(in.rm, 3, 12);
+  return mi.match | (operands & ~mi.mask);
 }
 
 Instr make_r(Mnemonic mn, u8 rd, u8 rs1, u8 rs2, u8 rm) {

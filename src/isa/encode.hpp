@@ -1,5 +1,6 @@
-// Instruction encoding: Instr -> 32-bit word. The inverse of decode();
-// round-trip identity is enforced by tests over the whole mnemonic space.
+// Instruction encoding: Instr -> 32-bit word, from the mnemonic's ISA table
+// row (isa/opcode.hpp). The inverse of decode(); tests pin the words against
+// tests/golden/isa_encodings.txt and round-trip every mnemonic.
 #pragma once
 
 #include "common/types.hpp"
@@ -7,9 +8,10 @@
 
 namespace sch::isa {
 
-/// Encode a decoded instruction into its 32-bit representation.
-/// Asserts on malformed operands (immediates out of range are the
-/// assembler's responsibility to reject first).
+/// Encode a decoded instruction into its 32-bit representation: the row's
+/// `match` bits plus the operand fields of its layout. Fields outside the
+/// layout are not written. Asserts on malformed operands (immediates out of
+/// range are the assembler's responsibility to reject first).
 u32 encode(const Instr& instr);
 
 // Convenience builders used by the ProgramBuilder and tests. Immediates are

@@ -1,9 +1,12 @@
-// Mnemonic-level instruction vocabulary and static metadata. The metadata
-// table (format, operand classes, execution class, FP domain, access size)
-// drives the assembler's operand parsing, the disassembler and predecode,
-// and through predecode the functional ISS and the timing model. The
-// encoder reads the format from it, but the encoder and the decoder carry
-// their own opcode/funct switches, so a new instruction touches those too.
+// Mnemonic-level instruction vocabulary and the ISA table. One MnemonicInfo
+// row per instruction holds everything the model knows about it statically:
+// its fixed encoding bits (match/mask), its operand layout (register
+// classes, rounding-mode field, immediate kind) and its execution metadata
+// (exec class, FP domain, access size). encode(), decode(), the
+// disassembler and the assembler's instruction parser read the row and
+// nothing else; predecode carries it to the functional ISS and the timing
+// model. Adding an instruction is one row here plus its semantics
+// (docs/ISA.md, "Adding an instruction").
 #pragma once
 
 #include <string_view>
@@ -53,11 +56,15 @@ enum class Mnemonic : u16 {
   kCount,
 };
 
-/// Instruction encoding formats (RISC-V manual nomenclature).
-enum class Format : u8 { kR, kR4, kI, kS, kB, kU, kJ, kCsr, kCsrI, kNone };
+/// What a register field (rd, rs1, rs2, rs3) of an encoding holds. kNone:
+/// the field is no operand (fixed by the mask, or ignored and zero).
+/// kZimm: the rs1 field holds a 5-bit unsigned immediate (csrr*i).
+enum class RegClass : u8 { kNone, kInt, kFp, kZimm };
 
-/// Register-file class of an operand slot.
-enum class RegClass : u8 { kNone, kInt, kFp };
+/// Immediate field of an encoding (RISC-V manual nomenclature). kShamt is
+/// the 5-bit shift amount in bits 24:20; kU keeps the 20-bit field
+/// unshifted; kCsr is the 12-bit CSR address, zero-extended.
+enum class ImmKind : u8 { kNone, kI, kS, kB, kU, kJ, kShamt, kCsr };
 
 /// Execution resource / latency class, consumed by the timing model.
 enum class ExecClass : u8 {
@@ -83,14 +90,22 @@ enum class ExecClass : u8 {
   kDma,       // cluster DMA engine access (Xdma)
 };
 
-/// Static description of one mnemonic.
+/// Static description of one mnemonic: one row of the ISA table.
 struct MnemonicInfo {
   std::string_view name;  // canonical assembly spelling, e.g. "fmadd.d"
-  Format fmt = Format::kNone;
+  /// Fixed encoding bits: a word is this instruction iff
+  /// (word & mask) == match. No two rows accept the same word.
+  u32 match = 0;
+  u32 mask = 0;
+  // Operand layout: the register fields, then whether bits 14:12 carry a
+  // rounding mode (every OP-FP and R4 row, even where the mask fixes them),
+  // then the immediate. Fields outside the layout are zero after decode.
   RegClass rd = RegClass::kNone;
   RegClass rs1 = RegClass::kNone;
   RegClass rs2 = RegClass::kNone;
   RegClass rs3 = RegClass::kNone;
+  bool has_rm = false;
+  ImmKind imm = ImmKind::kNone;
   ExecClass exec = ExecClass::kIntAlu;
   /// Executed in the FP subsystem (pseudo-dual-issue offload).
   bool fp_domain = false;
@@ -105,6 +120,12 @@ const MnemonicInfo& info(Mnemonic mn);
 
 /// Canonical spelling ("fmadd.d"); "<invalid>" for kInvalid.
 std::string_view name(Mnemonic mn);
+
+/// True when the assembly syntax writes rs1 as a base, `imm(rs1)`: loads,
+/// stores and jalr.
+inline bool has_base_offset(const MnemonicInfo& mi) {
+  return mi.mem_bytes != 0 || (mi.exec == ExecClass::kJump && mi.imm == ImmKind::kI);
+}
 
 /// True when the mnemonic writes an integer destination register.
 inline bool writes_int_rd(Mnemonic mn) { return info(mn).rd == RegClass::kInt; }

@@ -8,8 +8,8 @@ ExecHandler classify(const Instr& in, const MnemonicInfo& mi) {
     case ExecClass::kIntAlu:
       if (in.mn == Mnemonic::kLui) return ExecHandler::kLui;
       if (in.mn == Mnemonic::kAuipc) return ExecHandler::kAuipc;
-      return mi.fmt == Format::kI ? ExecHandler::kIntAluImm
-                                  : ExecHandler::kIntAluReg;
+      return mi.imm == ImmKind::kNone ? ExecHandler::kIntAluReg
+                                      : ExecHandler::kIntAluImm;
     case ExecClass::kIntMul: return ExecHandler::kIntMul;
     case ExecClass::kIntDiv: return ExecHandler::kIntDiv;
     case ExecClass::kJump:

@@ -61,7 +61,6 @@ class Iss {
   [[nodiscard]] HaltReason halt_reason() const { return halt_; }
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] u64 instret() const { return instret_; }
-  [[nodiscard]] const ssr::FunctionalSsrFile& ssrs() const { return ssrs_; }
   [[nodiscard]] const chain::ArchChainFile& chains() const { return chains_; }
 
  private:

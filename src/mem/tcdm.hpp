@@ -41,8 +41,6 @@ struct TcdmConfig {
 /// cycle). Core h's global requester id is `requester_id(h, role)`.
 enum class TcdmPortId : u8 { kCoreLsu = 0, kSsr0 = 1, kSsr1 = 2, kSsr2 = 3 };
 inline constexpr u32 kTcdmPortsPerCore = 4;
-/// Requester count of a single-core instance (back-compat name).
-inline constexpr u32 kNumTcdmPorts = kTcdmPortsPerCore;
 
 struct TcdmStats {
   u64 reads = 0;

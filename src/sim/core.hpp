@@ -52,8 +52,6 @@ class Core {
   /// Mutable FP-subsystem access for fault injection (sim::FaultPlan).
   [[nodiscard]] FpSubsystem& fp_mut() { return *fp_; }
   [[nodiscard]] HaltReason halt_reason() const { return core_->halt_reason(); }
-  /// Cycle at which the core fully halted (0 while still running).
-  [[nodiscard]] Cycle halted_at() const { return halted_at_; }
 
   [[nodiscard]] bool has_error() const {
     return fp_->has_error() || core_->has_error();
@@ -76,7 +74,7 @@ class Core {
   std::unique_ptr<FpSubsystem> fp_;
   std::unique_ptr<IntCore> core_;
   u32 ssr_rr_ = 0; // round-robin rotation of this core's SSR port order
-  Cycle halted_at_ = 0;
+  Cycle halted_at_ = 0; // cycle the core fully halted at (0 while running)
 };
 
 } // namespace sch::sim

@@ -42,7 +42,6 @@ class Sequencer {
       : queue_(queue_depth), buffer_depth_(buffer_depth) {}
 
   [[nodiscard]] bool queue_full() const { return queue_.full(); }
-  [[nodiscard]] bool queue_empty() const { return queue_.empty(); }
 
   /// Push from the integer core (offload). frep markers configure the
   /// sequencer when they reach the queue head.

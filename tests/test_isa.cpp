@@ -1,7 +1,11 @@
 // ISA layer tests: encode/decode round-trips across the whole mnemonic space,
-// immediate field boundaries, and disassembly spot checks.
+// immediate field boundaries, disassembly spot checks and self-checks of the
+// ISA table's match/mask rows.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/bitfield.hpp"
 #include "isa/decode.hpp"
 #include "isa/disasm.hpp"
 #include "isa/encode.hpp"
@@ -57,88 +61,63 @@ TEST(Decode, InvalidEncodings) {
   EXPECT_FALSE(decode(0x0400'0053 | (2u << 25)).valid());
 }
 
-// Round-trip over every R-type / R4 / I / S / B / U / J instruction with a
-// sweep of operand values.
+/// Boundary and interior values of an immediate kind.
+std::vector<i32> imm_sweep(ImmKind kind) {
+  switch (kind) {
+    case ImmKind::kI:
+    case ImmKind::kS: return {-2048, -1, 0, 1, 2047};
+    case ImmKind::kB: return {-4096, -12, 0, 36, 4094};
+    case ImmKind::kU: return {0, 1, 0xFFFFF};
+    case ImmKind::kJ: return {-1048576, -4, 0, 1048574};
+    case ImmKind::kShamt: return {0, 1, 31};
+    case ImmKind::kCsr: return {0x001, 0x7C0, 0x7C3, 0xC00, 0xFFF};
+    case ImmKind::kNone: break;
+  }
+  return {0};
+}
+
+// Round-trip over every mnemonic with a sweep of the operand fields its
+// layout carries: decode must return the whole instruction, with every
+// field outside the layout zero.
 class RoundTrip : public ::testing::TestWithParam<u16> {};
 
 TEST_P(RoundTrip, EncodeDecodeIdentity) {
   const auto mn = static_cast<Mnemonic>(GetParam());
   const MnemonicInfo& mi = info(mn);
-  if (mn == Mnemonic::kInvalid) return;
 
-  auto check = [&](const Instr& in) {
-    const Instr out = decode(in.raw);
-    ASSERT_TRUE(out.valid()) << name(mn) << " raw=0x" << std::hex << in.raw;
-    EXPECT_EQ(out.mn, in.mn) << name(mn);
-    EXPECT_EQ(encode(out), in.raw) << name(mn);
-  };
-
-  switch (mi.fmt) {
-    case Format::kR:
-      for (u8 rd : {0, 1, 31}) {
-        for (u8 rs1 : {0, 7, 31}) {
-          for (u8 rs2 : {0, 15, 31}) {
-            if (mi.rs2 == RegClass::kNone) {
-              check(make_r(mn, rd, rs1, 0));
-            } else {
-              check(make_r(mn, rd, rs1, rs2));
-            }
-          }
-        }
+  std::vector<Instr> cases(1);
+  cases[0].mn = mn;
+  // Cross one layout field's values with the cases built so far.
+  auto sweep = [&cases](bool in_layout, const std::vector<i32>& values, auto set) {
+    if (!in_layout) return;
+    std::vector<Instr> crossed;
+    for (const Instr& c : cases) {
+      for (i32 v : values) {
+        Instr x = c;
+        set(x, v);
+        crossed.push_back(x);
       }
-      break;
-    case Format::kR4:
-      for (u8 r : {0, 3, 31}) check(make_r4(mn, r, r, r, r, 0));
-      check(make_r4(mn, 1, 2, 3, 4, 7));
-      break;
-    case Format::kI:
-      for (i32 imm : {-2048, -1, 0, 1, 2047}) {
-        const bool shift = mn == Mnemonic::kSlli || mn == Mnemonic::kSrli ||
-                           mn == Mnemonic::kSrai;
-        const bool custom = mi.exec == ExecClass::kFrep || mi.exec == ExecClass::kScfg;
-        i32 v = shift ? (imm & 31) : custom ? (imm & 2047) : imm;
-        // Custom instructions hard-wire the unused register field to zero;
-        // the Xdma forms additionally hard-wire unused immediates.
-        u8 rd = 5, rs1 = 6;
-        if (mi.exec == ExecClass::kFrep || mn == Mnemonic::kScfgw) rd = 0;
-        if (mn == Mnemonic::kScfgr) rs1 = 0;
-        if (mn == Mnemonic::kDmSrc || mn == Mnemonic::kDmDst) {
-          rd = 0;
-          v = 0;
-        }
-        if (mn == Mnemonic::kDmCpy) v = 0;
-        if (mn == Mnemonic::kDmStat) {
-          rs1 = 0;
-          v = imm & 2047;
-        }
-        check(make_i(mn, rd, rs1, v));
-      }
-      break;
-    case Format::kS:
-      for (i32 imm : {-2048, -4, 0, 8, 2047}) check(make_s(mn, 10, 11, imm));
-      break;
-    case Format::kB:
-      for (i32 off : {-4096, -12, 0, 36, 4094}) check(make_b(mn, 1, 2, off));
-      break;
-    case Format::kU:
-      for (i32 imm : {0, 1, 0xFFFFF}) check(make_u(mn, 7, imm));
-      break;
-    case Format::kJ:
-      for (i32 off : {-1048576, -4, 0, 1048574}) check(make_j(mn, 1, off));
-      break;
-    case Format::kCsr:
-      for (u32 csr : {0x001u, 0x7C0u, 0x7C3u, 0xC00u}) check(make_csr(mn, 3, 4, csr));
-      break;
-    case Format::kCsrI:
-      for (u8 z : {0, 8, 31}) check(make_csr(mn, 3, z, 0x7C3));
-      break;
-    case Format::kNone: {
-      Instr in;
-      in.mn = mn;
-      in.raw = encode(in);
-      check(in);
-      break;
     }
+    cases = std::move(crossed);
+  };
+  const std::vector<i32> regs = {0, 7, 31};
+  sweep(mi.rd != RegClass::kNone, regs, [](Instr& x, i32 v) { x.rd = static_cast<u8>(v); });
+  sweep(mi.rs1 != RegClass::kNone, regs, [](Instr& x, i32 v) { x.rs1 = static_cast<u8>(v); });
+  sweep(mi.rs2 != RegClass::kNone, regs, [](Instr& x, i32 v) { x.rs2 = static_cast<u8>(v); });
+  sweep(mi.rs3 != RegClass::kNone, regs, [](Instr& x, i32 v) { x.rs3 = static_cast<u8>(v); });
+  sweep(mi.has_rm, {0, 3, 7}, [](Instr& x, i32 v) { x.rm = static_cast<u8>(v); });
+  sweep(mi.imm != ImmKind::kNone, imm_sweep(mi.imm), [](Instr& x, i32 v) { x.imm = v; });
+
+  for (const Instr& in : cases) {
+    const u32 word = encode(in);
+    Instr want = in;
+    // Where the mask fixes funct3, decode reports the fixed bits as rm.
+    if (mi.has_rm && (mi.mask & 0x7000u) != 0) want.rm = static_cast<u8>(bits(mi.match, 14, 12));
+    const Instr out = decode(word);
+    ASSERT_TRUE(out.valid()) << name(mn) << " raw=0x" << std::hex << word;
+    EXPECT_EQ(out, want) << disassemble(in) << " -> " << disassemble(out);
+    EXPECT_EQ(out.raw, word) << name(mn);
+    EXPECT_EQ(encode(out), word) << name(mn);
   }
 }
 
@@ -199,6 +178,53 @@ TEST(Metadata, MemBytes) {
   EXPECT_EQ(info(Mnemonic::kLw).mem_bytes, 4);
   EXPECT_EQ(info(Mnemonic::kLh).mem_bytes, 2);
   EXPECT_EQ(info(Mnemonic::kSb).mem_bytes, 1);
+}
+
+// --- ISA table self-checks --------------------------------------------------
+
+TEST(IsaTable, NoWordMatchesTwoRows) {
+  for (u16 a = 1; a < static_cast<u16>(Mnemonic::kCount); ++a) {
+    const MnemonicInfo& x = info(static_cast<Mnemonic>(a));
+    for (u16 b = a + 1; b < static_cast<u16>(Mnemonic::kCount); ++b) {
+      const MnemonicInfo& y = info(static_cast<Mnemonic>(b));
+      EXPECT_NE((x.match ^ y.match) & x.mask & y.mask, 0u)
+          << x.name << " and " << y.name << " accept the same word";
+    }
+  }
+}
+
+TEST(IsaTable, MatchLiesInsideMask) {
+  for (u16 m = 1; m < static_cast<u16>(Mnemonic::kCount); ++m) {
+    const MnemonicInfo& mi = info(static_cast<Mnemonic>(m));
+    EXPECT_EQ(mi.match & ~mi.mask, 0u) << mi.name;
+    EXPECT_EQ(mi.mask & 0x7Fu, 0x7Fu) << mi.name << ": opcode not fixed";
+  }
+}
+
+TEST(IsaTable, OperandFieldsLieOutsideMask) {
+  auto imm_field = [](ImmKind kind) -> u32 {
+    switch (kind) {
+      case ImmKind::kI:
+      case ImmKind::kCsr: return 0xFFF00000u;
+      case ImmKind::kS:
+      case ImmKind::kB: return 0xFE000F80u;
+      case ImmKind::kU:
+      case ImmKind::kJ: return 0xFFFFF000u;
+      case ImmKind::kShamt: return 0x01F00000u;
+      case ImmKind::kNone: break;
+    }
+    return 0;
+  };
+  for (u16 m = 1; m < static_cast<u16>(Mnemonic::kCount); ++m) {
+    const MnemonicInfo& mi = info(static_cast<Mnemonic>(m));
+    u32 fields = imm_field(mi.imm);
+    if (mi.rd != RegClass::kNone) fields |= 0x00000F80u;
+    if (mi.rs1 != RegClass::kNone) fields |= 0x000F8000u;
+    if (mi.rs2 != RegClass::kNone) fields |= 0x01F00000u;
+    if (mi.rs3 != RegClass::kNone) fields |= 0xF8000000u;
+    // rm is the one field a mask may fix (funct3-selected OP-FP rows).
+    EXPECT_EQ(fields & mi.mask, 0u) << mi.name;
+  }
 }
 
 } // namespace

@@ -162,7 +162,7 @@ TEST_P(RandomFpPrograms, EnginesAgreeBitExact) {
       const u8 rs1 = 8 + rng() % 12;
       const u8 rs2 = 8 + rng() % 12;
       const u8 rs3 = 8 + rng() % 12;
-      if (isa::info(mn).fmt == isa::Format::kR4) {
+      if (isa::info(mn).rs3 != isa::RegClass::kNone) {
         b.emit(isa::make_r4(mn, rd, rs1, rs2, rs3));
       } else {
         b.emit(isa::make_r(mn, rd, rs1, rs2));
@@ -311,77 +311,43 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomSsrGathers, ::testing::Range(1u, 5u));
 
 class DisasmRoundTrip : public ::testing::TestWithParam<u32> {};
 
+/// A random in-range immediate of `kind`.
+i32 random_imm(isa::ImmKind kind, std::mt19937& rng) {
+  const auto pick = [&rng](u32 n) { return static_cast<i32>(rng() % n); };
+  switch (kind) {
+    case isa::ImmKind::kI:
+    case isa::ImmKind::kS: return pick(4096) - 2048;
+    case isa::ImmKind::kB: return (pick(4096) - 2048) * 2;
+    case isa::ImmKind::kU: return pick(0x100000);
+    case isa::ImmKind::kJ: return (pick(0x100000) - 0x80000) * 2;
+    case isa::ImmKind::kShamt: return pick(32);
+    case isa::ImmKind::kCsr: return pick(4096);
+    case isa::ImmKind::kNone: break;
+  }
+  return 0;
+}
+
 TEST_P(DisasmRoundTrip, TextRoundTripPreservesEncoding) {
   std::mt19937 rng(GetParam() * 53 + 1);
   for (u16 m = 1; m < static_cast<u16>(isa::Mnemonic::kCount); ++m) {
     const auto mn = static_cast<isa::Mnemonic>(m);
     const isa::MnemonicInfo& mi = isa::info(mn);
+    // Random values in every field the layout carries; rm stays zero, the
+    // text does not spell it.
     isa::Instr in;
-    switch (mi.fmt) {
-      case isa::Format::kR:
-        in = isa::make_r(mn, rng() % 32, rng() % 32,
-                         mi.rs2 == isa::RegClass::kNone ? 0 : rng() % 32);
-        break;
-      case isa::Format::kR4:
-        in = isa::make_r4(mn, rng() % 32, rng() % 32, rng() % 32, rng() % 32);
-        break;
-      case isa::Format::kI: {
-        i32 imm = static_cast<i32>(rng() % 4096) - 2048;
-        if (mn == isa::Mnemonic::kSlli || mn == isa::Mnemonic::kSrli ||
-            mn == isa::Mnemonic::kSrai) {
-          imm &= 31;
-        }
-        if (mi.exec == isa::ExecClass::kFrep || mi.exec == isa::ExecClass::kScfg) {
-          imm &= 2047;
-        }
-        u8 rd = rng() % 32, rs1 = rng() % 32;
-        if (mi.exec == isa::ExecClass::kFrep || mn == isa::Mnemonic::kScfgw) rd = 0;
-        if (mn == isa::Mnemonic::kScfgr) rs1 = 0;
-        // Xdma I-forms hard-wire unused register/immediate fields to zero.
-        if (mn == isa::Mnemonic::kDmSrc || mn == isa::Mnemonic::kDmDst) {
-          rd = 0;
-          imm = 0;
-        }
-        if (mn == isa::Mnemonic::kDmCpy) imm = 0;
-        if (mn == isa::Mnemonic::kDmStat) {
-          rs1 = 0;
-          imm &= 2047;
-        }
-        in = isa::make_i(mn, rd, rs1, imm);
-        break;
-      }
-      case isa::Format::kS:
-        in = isa::make_s(mn, rng() % 32, rng() % 32,
-                         static_cast<i32>(rng() % 4096) - 2048);
-        break;
-      case isa::Format::kB:
-        in = isa::make_b(mn, rng() % 32, rng() % 32,
-                         (static_cast<i32>(rng() % 2048) - 1024) * 2);
-        break;
-      case isa::Format::kU:
-        in = isa::make_u(mn, rng() % 32, static_cast<i32>(rng() % 0x100000));
-        break;
-      case isa::Format::kJ:
-        in = isa::make_j(mn, rng() % 32,
-                         (static_cast<i32>(rng() % 16384) - 8192) * 2);
-        break;
-      case isa::Format::kCsr:
-        in = isa::make_csr(mn, rng() % 32, rng() % 32, 0x7C3);
-        break;
-      case isa::Format::kCsrI:
-        in = isa::make_csr(mn, rng() % 32, rng() % 32, 0x7C0);
-        break;
-      case isa::Format::kNone: {
-        in.mn = mn;
-        in.raw = isa::encode(in);
-        break;
-      }
-    }
+    in.mn = mn;
+    if (mi.rd != isa::RegClass::kNone) in.rd = rng() % 32;
+    if (mi.rs1 != isa::RegClass::kNone) in.rs1 = rng() % 32;
+    if (mi.rs2 != isa::RegClass::kNone) in.rs2 = rng() % 32;
+    if (mi.rs3 != isa::RegClass::kNone) in.rs3 = rng() % 32;
+    in.imm = random_imm(mi.imm, rng);
+    in.raw = isa::encode(in);
     const std::string text = isa::disassemble(in);
     auto res = assembler::assemble(text + "\n");
     ASSERT_TRUE(res.ok()) << text << ": " << res.status().message();
     ASSERT_EQ(res.value().words.size(), 1u) << text;
     EXPECT_EQ(res.value().words[0], in.raw) << text;
+    EXPECT_EQ(res.value().instrs[0], in) << text;
   }
 }
 
