@@ -57,26 +57,6 @@ void fail(RunReport& report, FailureKind kind, const std::string& message,
   report.ok = false;
 }
 
-/// Classify an engine error string into a FailureKind. The producers of
-/// these messages (Memory, Iss, the core models) are in lower layers that
-/// know nothing about the report taxonomy, so the mapping lives here.
-FailureKind classify_error_message(const std::string& message) {
-  if (message.find("bus error") != std::string::npos ||
-      message.find("unmapped") != std::string::npos) {
-    return FailureKind::kBusError;
-  }
-  if (message.find("chain FIFO underflow") != std::string::npos ||
-      message.find("deadlock") != std::string::npos) {
-    return FailureKind::kDeadlock;
-  }
-  if (message.find("budget exhausted") != std::string::npos) {
-    return FailureKind::kBudgetExceeded;
-  }
-  // Everything else is a program/config-level fault the validation layer
-  // surfaced (illegal instruction, bad frep body, SSR misuse, ...).
-  return FailureKind::kValidation;
-}
-
 /// Step the cycle-level simulator to completion, fanning out observer
 /// callbacks. With no observers this is exactly Simulator::run().
 void drive_simulator(sim::Simulator& simulator,
@@ -221,8 +201,9 @@ RunReport execute(const RunRequest& request) {
   // cycle-engine-only and would exhaust the ISS step budget here.
   // Both engine sections run under a catch-all: a stray access to unmapped
   // memory anywhere on the execution path (e.g. an SSR stream pointed at a
-  // hole in the address map) surfaces as a failed bus-error report instead
-  // of an exception escaping Engine::run mid-batch.
+  // hole in the address map) throws BusError and surfaces as a failed
+  // bus-error report instead of an exception escaping Engine::run
+  // mid-batch. Any other exception is an engine bug (kInternal).
   Memory iss_mem;
   std::vector<ArchState> iss_states;
   if (request.engine == EngineSel::kIss || request.engine == EngineSel::kBoth) {
@@ -253,21 +234,17 @@ RunReport execute(const RunRequest& request) {
       if (!clean_halt(halt)) {
         const std::string who =
             num_cores == 1 ? "ISS" : "ISS hart " + std::to_string(h);
-        const FailureKind kind = halt == HaltReason::kMaxSteps
-                                     ? FailureKind::kBudgetExceeded
-                                     : classify_error_message(iss.error());
-        fail(report, kind,
+        fail(report, iss.failure_kind(),
              report.name + ": " + who + " halted abnormally: " +
                  (iss.error().empty() ? "(no message)" : iss.error()),
              static_cast<i32>(h), static_cast<i64>(iss.state().pc));
         break;
       }
     }
+    } catch (const BusError& e) {
+      fail(report, FailureKind::kBusError, report.name + ": ISS: " + e.what());
     } catch (const std::exception& e) {
-      fail(report, classify_error_message(e.what()) == FailureKind::kBusError
-                       ? FailureKind::kBusError
-                       : FailureKind::kInternal,
-           report.name + ": ISS: " + e.what());
+      fail(report, FailureKind::kInternal, report.name + ": ISS: " + e.what());
     }
     if (report.error.empty() && built != nullptr) {
       std::string detail;
@@ -296,12 +273,12 @@ RunReport execute(const RunRequest& request) {
       // Cluster construction rejects bad configurations/program sets.
       return finish_failed(FailureKind::kValidation,
                            report.name + ": simulator: " + e.what());
+    } catch (const BusError& e) {
+      return finish_failed(FailureKind::kBusError,
+                           report.name + ": simulator: " + e.what());
     } catch (const std::exception& e) {
-      return finish_failed(
-          classify_error_message(e.what()) == FailureKind::kBusError
-              ? FailureKind::kBusError
-              : FailureKind::kInternal,
-          report.name + ": simulator: " + e.what());
+      return finish_failed(FailureKind::kInternal,
+                           report.name + ": simulator: " + e.what());
     }
     report.cycles = simulator->cycles();
     report.perf = simulator->perf();
@@ -330,15 +307,7 @@ RunReport execute(const RunRequest& request) {
     report.dma.queue_full_stalls = ds.queue_full_stalls;
     report.dma.achieved_bytes_per_cycle = ds.achieved_bytes_per_cycle();
     if (!clean_halt(simulator->halt_reason())) {
-      FailureKind kind;
-      if (simulator->halt_reason() == HaltReason::kMaxSteps) {
-        kind = FailureKind::kBudgetExceeded;
-      } else if (simulator->deadlocked()) {
-        kind = FailureKind::kDeadlock;
-      } else {
-        kind = classify_error_message(simulator->error());
-      }
-      fail(report, kind,
+      fail(report, simulator->failure_kind(),
            report.name + ": simulator halted abnormally: " +
                (simulator->error().empty() ? "(no message)" : simulator->error()),
            simulator->halt_hart(), simulator->halt_pc(),

@@ -32,24 +32,22 @@ const char* failure_kind_name(FailureKind kind) {
   return "?";
 }
 
+Json failure_json(const FailureInfo& failure) {
+  Json fj = Json::object();
+  fj.set("kind", failure_kind_name(failure.kind));
+  fj.set("hart", static_cast<i64>(failure.hart));
+  fj.set("pc", failure.pc);
+  fj.set("cycle", failure.cycle);
+  return fj;
+}
+
 namespace {
 
 Json stalls_json(const sim::PerfCounters& p) {
   Json o = Json::object();
-  o.set("fp_raw", p.stall_fp_raw);
-  o.set("fp_waw", p.stall_fp_waw);
-  o.set("chain_empty", p.stall_chain_empty);
-  o.set("chain_full", p.stall_chain_full);
-  o.set("ssr_empty", p.stall_ssr_empty);
-  o.set("ssr_wfull", p.stall_ssr_wfull);
-  o.set("fpu_busy", p.stall_fpu_busy);
-  o.set("fp_lsu", p.stall_fp_lsu);
-  o.set("offload_full", p.stall_offload_full);
-  o.set("int_raw", p.stall_int_raw);
-  o.set("int_lsu", p.stall_int_lsu);
-  o.set("csr_barrier", p.stall_csr_barrier);
-  o.set("dma_full", p.stall_dma_full);
-  o.set("branch_bubbles", p.branch_bubbles);
+  for (const sim::PerfField& f : sim::kPerfFields) {
+    if (f.stalls_key != nullptr) o.set(f.stalls_key, p.*f.member);
+  }
   return o;
 }
 
@@ -65,12 +63,7 @@ Json RunReport::to_json() const {
   row.set("ok", ok);
   if (!ok) {
     row.set("error", error);
-    Json fj = Json::object();
-    fj.set("kind", std::string(failure_kind_name(failure.kind)));
-    fj.set("hart", static_cast<i64>(failure.hart));
-    fj.set("pc", failure.pc);
-    fj.set("cycle", failure.cycle);
-    row.set("failure", std::move(fj));
+    row.set("failure", failure_json(failure));
   }
   row.set("cycles", cycles);
   row.set("retired", perf.total_retired());

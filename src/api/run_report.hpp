@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.hpp"
 #include "energy/energy_model.hpp"
 #include "kernels/kernel_common.hpp"
 #include "scenario/json.hpp"
@@ -33,19 +34,10 @@ const char* engine_name(EngineSel sel);
 /// Inverse of engine_name(); false on unknown names.
 bool parse_engine(const std::string& name, EngineSel& out);
 
-/// Structured classification of a failed run (RunReport::failure). Every
-/// failure path through api::Engine maps to exactly one kind; `error` stays
-/// the human-readable description.
-enum class FailureKind : u8 {
-  kNone,             // report is ok
-  kValidation,       // bad request/config/kernel or a program-level fault
-  kBusError,         // access to unmapped memory on either engine
-  kDeadlock,         // watchdog fired / chain-FIFO underflow
-  kLockstepMismatch, // ISS and cycle engine disagree on final state
-  kGoldenMismatch,   // output region differs from the golden vector
-  kBudgetExceeded,   // cycle, step or wall-clock budget exhausted
-  kInternal,         // unexpected exception (engine bug; please report)
-};
+/// Structured classification of a failed run (RunReport::failure). The
+/// layer that detects a failure names its kind (common/status.hpp);
+/// `error` stays the human-readable description.
+using sch::FailureKind;
 
 /// "validation" / "bus_error" / ... (schema v4 failure.kind values).
 const char* failure_kind_name(FailureKind kind);
@@ -57,6 +49,10 @@ struct FailureInfo {
   i64 pc = -1;     // faulting pc
   i64 cycle = -1;  // cycle-engine cycle at the failure
 };
+
+/// The `failure` object of a failed report row or serve error line:
+/// {"kind", "hart", "pc", "cycle"}.
+[[nodiscard]] Json failure_json(const FailureInfo& failure);
 
 struct RunReport {
   /// Version of the JSON serialization below. Bump on any key change and

@@ -568,6 +568,7 @@ class AssemblerImpl {
         // jalr also takes "rd, rs1[, imm]".
         in.rs1 = c.int_reg();
         if (!c.at_end()) { c.comma(); imm = c.imm_expr(); }
+        if (!fits_simm(imm, 12)) fail(line, "immediate out of range");
       } else {
         const auto [base, offset] = c.mem_operand();
         in.rs1 = base;

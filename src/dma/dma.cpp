@@ -40,13 +40,13 @@ Status validate_copy(const Memory& mem, const Transfer& t) {
       std::ostringstream os;
       os << "bus error: dma source row " << r << " [0x" << std::hex << src
          << ", 0x" << src + t.row_bytes << ") is unmapped";
-      return Status::error(os.str());
+      return Status::error(os.str(), FailureKind::kBusError);
     }
     if (!mem.valid(dst, t.row_bytes)) {
       std::ostringstream os;
       os << "bus error: dma destination row " << r << " [0x" << std::hex << dst
          << ", 0x" << dst + t.row_bytes << ") is unmapped";
-      return Status::error(os.str());
+      return Status::error(os.str(), FailureKind::kBusError);
     }
     src += static_cast<Addr>(t.src_stride);
     dst += static_cast<Addr>(t.dst_stride);
@@ -83,28 +83,25 @@ Transfer Engine::snapshot(u32 hart, u32 row_bytes, u32 rows) const {
   return t;
 }
 
-u32 Engine::issue(u32 hart, u32 row_bytes, u32 rows, Cycle now) {
+u32 Engine::issue(u32 hart, u32 row_bytes, u32 rows) {
   assert(can_issue(hart));
   Transfer t = snapshot(hart, row_bytes, rows);
   t.id = ++fe_[hart].issued;
   ch_[hart].queue.push_back(t);
-  ch_[hart].issued_at.push_back(now);
   ++stats_.transfers_issued;
   return t.id;
 }
 
-void Engine::begin_head(Channel& ch, Cycle now) {
+void Engine::begin_head(Channel& ch) {
   const Transfer& t = ch.queue.front();
   ch.active = Active{};
   ch.active.started = true;
-  ch.active.issued_at = ch.issued_at.front();
-  ch.active.started_at = now;
   ch.active.startup_left = touches_main(t) ? cfg_.main_mem_latency : 0;
   ch.active.src_row = t.src;
   ch.active.dst_row = t.dst;
 }
 
-void Engine::finish_head(Channel& ch, Cycle now) {
+void Engine::finish_head(Channel& ch) {
   const Transfer& t = ch.queue.front();
   FrontEnd& fe = fe_[t.hart];
   // A hart's transfers drain through its own channel in issue order, so
@@ -112,19 +109,13 @@ void Engine::finish_head(Channel& ch, Cycle now) {
   assert(t.id == fe.completed + 1);
   fe.completed = t.id;
   ++stats_.transfers_completed;
-  if (records_.size() < cfg_.max_records) {
-    records_.push_back(TransferRecord{t.hart, t.id, t.total_bytes(),
-                                      ch.active.issued_at, ch.active.started_at,
-                                      now, ch.active.conflicts});
-  }
   ch.queue.pop_front();
-  ch.issued_at.pop_front();
   ch.active = Active{};
 }
 
 // Commit one beat's worth of progress (the bytes have already landed in
 // the functional memory). Returns true when the whole transfer finished.
-bool Engine::advance_beat(Channel& ch, Cycle now, u32 beat) {
+bool Engine::advance_beat(Channel& ch, u32 beat) {
   stats_.bytes_moved += beat;
   const Transfer& t = ch.queue.front();
   ch.active.col += beat;
@@ -132,7 +123,7 @@ bool Engine::advance_beat(Channel& ch, Cycle now, u32 beat) {
     ch.active.col = 0;
     ++ch.active.row;
     if (ch.active.row == t.rows) {
-      finish_head(ch, now);
+      finish_head(ch);
       return true;
     }
     ch.active.src_row += static_cast<Addr>(t.src_stride);
@@ -141,9 +132,9 @@ bool Engine::advance_beat(Channel& ch, Cycle now, u32 beat) {
   return false;
 }
 
-void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
+void Engine::tick_channel(Channel& ch, Tcdm& tcdm) {
   if (ch.queue.empty()) return;
-  if (!ch.active.started) begin_head(ch, now);
+  if (!ch.active.started) begin_head(ch);
 
   if (ch.active.startup_left > 0) {
     --ch.active.startup_left;
@@ -159,7 +150,6 @@ void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
   if (ch.active.pending_len > 0) {
     if (!tcdm.request(tcdm_requester_, ch.active.pending_dst, true)) {
       ++stats_.tcdm_conflicts;
-      ++ch.active.conflicts;
       return;
     }
     if (drop_beats_ > 0) {
@@ -172,7 +162,7 @@ void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
     const u32 len = ch.active.pending_len;
     ch.active.pending_len = 0;
     budget -= len;
-    if (advance_beat(ch, now, len)) return;
+    if (advance_beat(ch, len)) return;
   }
 
   while (budget > 0) {
@@ -182,18 +172,15 @@ void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
     const Addr src = ch.active.src_row + ch.active.col;
     const Addr dst = ch.active.dst_row + ch.active.col;
     // TCDM-side beats must win their bank this cycle; a source denial ends
-    // the channel's beats for the cycle (in-order mover) and is charged to
-    // the transfer.
+    // the channel's beats for the cycle (in-order mover).
     if (memmap::in_tcdm(src) && !tcdm.request(tcdm_requester_, src, false)) {
       ++stats_.tcdm_conflicts;
-      ++ch.active.conflicts;
       return;
     }
     if (memmap::in_tcdm(dst) && !tcdm.request(tcdm_requester_, dst, true)) {
       // The read was granted but the write bank is taken: stage the bytes
       // and commit them next cycle.
       ++stats_.tcdm_conflicts;
-      ++ch.active.conflicts;
       for (u32 i = 0; i < beat; ++i) {
         ch.active.pending[i] = static_cast<u8>(mem_.load(src + i, 1));
       }
@@ -209,7 +196,7 @@ void Engine::tick_channel(Channel& ch, Cycle now, Tcdm& tcdm) {
       }
     }
     budget -= beat;
-    if (advance_beat(ch, now, beat)) return;
+    if (advance_beat(ch, beat)) return;
   }
 }
 
@@ -221,7 +208,7 @@ void Engine::tick(Cycle now, Tcdm& tcdm) {
   const u32 n = static_cast<u32>(ch_.size());
   const u32 start = static_cast<u32>(now % n);
   for (u32 k = 0; k < n; ++k) {
-    tick_channel(ch_[(start + k) % n], now, tcdm);
+    tick_channel(ch_[(start + k) % n], tcdm);
   }
 }
 

@@ -71,21 +71,6 @@ struct Transfer {
   i32 dst_stride = 0;
   u32 row_bytes = 0;
   u32 rows = 1;
-
-  [[nodiscard]] u64 total_bytes() const {
-    return static_cast<u64>(row_bytes) * rows;
-  }
-};
-
-/// Completed-transfer record for the per-transfer stats log (bounded).
-struct TransferRecord {
-  u32 hart = 0;
-  u32 id = 0;
-  u64 bytes = 0;
-  Cycle issued_at = 0;
-  Cycle started_at = 0;
-  Cycle done_at = 0;
-  u64 conflicts = 0;
 };
 
 struct EngineStats {
@@ -104,9 +89,10 @@ struct EngineStats {
   }
 };
 
-/// Validate a copy footprint against the memory map. Returns a bus-error
+/// Validate a copy footprint against the memory map. Returns a kBusError
 /// status naming the offending end when any row falls outside mapped
-/// memory, or when the shape is degenerate (zero rows / zero row bytes).
+/// memory, and a kValidation status when the shape is degenerate (zero
+/// rows / zero row bytes).
 [[nodiscard]] Status validate_copy(const Memory& mem, const Transfer& t);
 
 /// Shared config knobs, mirrored from sim::SimConfig (kept here so the
@@ -115,7 +101,6 @@ struct EngineConfig {
   u32 main_mem_latency = 10;
   u32 main_mem_bytes_per_cycle = 8;
   u32 queue_depth = 4;
-  u32 max_records = 1024;  // per-transfer log bound
 };
 
 class Engine {
@@ -150,7 +135,7 @@ class Engine {
   /// Snapshot hart `hart`'s latches into a descriptor and enqueue it on the
   /// hart's channel. Returns the per-hart transfer id (1-based). Caller
   /// validates the footprint first (validate_copy) and checks can_issue().
-  u32 issue(u32 hart, u32 row_bytes, u32 rows, Cycle now);
+  u32 issue(u32 hart, u32 row_bytes, u32 rows);
 
   [[nodiscard]] u32 completed(u32 hart) const { return fe_[hart].completed; }
   [[nodiscard]] u32 outstanding(u32 hart) const {
@@ -167,11 +152,6 @@ class Engine {
   void tick(Cycle now, Tcdm& tcdm);
 
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
-  /// Completed-transfer log, oldest first (bounded at cfg.max_records;
-  /// stats().transfers_completed keeps the true total).
-  [[nodiscard]] const std::vector<TransferRecord>& records() const {
-    return records_;
-  }
 
   /// Fault injection (sim::FaultKind::kTruncateDmaBeat): the next `n` beats
   /// skip their memory commit -- the transfer's progress bookkeeping runs as
@@ -187,9 +167,6 @@ class Engine {
     u32 col = 0;       // byte offset within the current row
     Addr src_row = 0;  // current row base addresses
     Addr dst_row = 0;
-    Cycle issued_at = 0;
-    Cycle started_at = 0;
-    u64 conflicts = 0;
     /// A beat whose read was granted but whose destination bank was denied
     /// stages its bytes here and retries just the write next cycle (this
     /// also resolves same-bank TCDM-to-TCDM copies, which would otherwise
@@ -202,14 +179,13 @@ class Engine {
   /// One per-hart transfer context.
   struct Channel {
     std::deque<Transfer> queue;
-    std::deque<Cycle> issued_at;
     Active active;
   };
 
-  void begin_head(Channel& ch, Cycle now);
-  void finish_head(Channel& ch, Cycle now);
-  bool advance_beat(Channel& ch, Cycle now, u32 beat);
-  void tick_channel(Channel& ch, Cycle now, Tcdm& tcdm);
+  void begin_head(Channel& ch);
+  void finish_head(Channel& ch);
+  bool advance_beat(Channel& ch, u32 beat);
+  void tick_channel(Channel& ch, Tcdm& tcdm);
 
   EngineConfig cfg_;
   Memory& mem_;
@@ -217,7 +193,6 @@ class Engine {
   std::vector<FrontEnd> fe_;
   std::vector<Channel> ch_;
   EngineStats stats_;
-  std::vector<TransferRecord> records_;
   u32 drop_beats_ = 0;  // armed beat-commit drops (fault injection)
 };
 
@@ -233,7 +208,7 @@ class FunctionalDma {
   }
 
   /// Validate and perform the copy instantly. On success returns the
-  /// per-hart transfer id; on failure returns the bus-error status.
+  /// per-hart transfer id; on failure returns validate_copy's status.
   [[nodiscard]] Result<u32> copy(Memory& mem, u32 row_bytes, u32 rows);
 
   [[nodiscard]] u32 completed() const { return fe_.issued; }

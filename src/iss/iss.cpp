@@ -31,8 +31,9 @@ Iss::Iss(Program program, Memory& memory, const IssConfig& config)
   if (cfg_.load_image) mem_.load_image(prog_.data_base, prog_.data);
 }
 
-void Iss::halt_error(const std::string& message) {
+void Iss::halt_error(const std::string& message, FailureKind kind) {
   halt_ = HaltReason::kError;
+  error_kind_ = kind;
   std::ostringstream os;
   os << "pc=0x" << std::hex << state_.pc << std::dec << ": " << message;
   error_ = os.str();
@@ -51,7 +52,8 @@ u64 Iss::read_fp(u8 reg) {
   if (chains_.enabled(reg)) {
     auto v = chains_.pop(reg);
     if (!v) {
-      halt_error("chain FIFO underflow on " + std::string(isa::fp_reg_name(reg)));
+      halt_error("chain FIFO underflow on " + std::string(isa::fp_reg_name(reg)),
+                 FailureKind::kDeadlock);
       return 0;
     }
     return *v;
@@ -171,7 +173,7 @@ void Iss::h_branch(const Instr& in, const PredecodedInstr& pre) {
 void Iss::h_load(const Instr& in, const PredecodedInstr& pre) {
   const Addr addr = state_.read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(addr, pre.mem_bytes)) {
-    halt_error("load from unmapped address");
+    halt_error("load from unmapped address", FailureKind::kBusError);
     return;
   }
   state_.write_x(in.rd, static_cast<u32>(mem_.load(addr, pre.mem_bytes)));
@@ -180,7 +182,7 @@ void Iss::h_load(const Instr& in, const PredecodedInstr& pre) {
 void Iss::h_load_s8(const Instr& in, const PredecodedInstr& pre) {
   const Addr addr = state_.read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(addr, 1)) {
-    halt_error("load from unmapped address");
+    halt_error("load from unmapped address", FailureKind::kBusError);
     return;
   }
   const auto v = static_cast<i8>(mem_.load(addr, 1));
@@ -190,7 +192,7 @@ void Iss::h_load_s8(const Instr& in, const PredecodedInstr& pre) {
 void Iss::h_load_s16(const Instr& in, const PredecodedInstr& pre) {
   const Addr addr = state_.read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(addr, 2)) {
-    halt_error("load from unmapped address");
+    halt_error("load from unmapped address", FailureKind::kBusError);
     return;
   }
   const auto v = static_cast<i16>(mem_.load(addr, 2));
@@ -200,7 +202,7 @@ void Iss::h_load_s16(const Instr& in, const PredecodedInstr& pre) {
 void Iss::h_store(const Instr& in, const PredecodedInstr& pre) {
   const Addr addr = state_.read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(addr, pre.mem_bytes)) {
-    halt_error("store to unmapped address");
+    halt_error("store to unmapped address", FailureKind::kBusError);
     return;
   }
   mem_.store(addr, state_.read_x(in.rs2), pre.mem_bytes);
@@ -245,7 +247,7 @@ void Iss::h_fence(const Instr&, const PredecodedInstr&) {
 void Iss::h_fp_load(const Instr& in, const PredecodedInstr& pre) {
   const Addr addr = state_.read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(addr, pre.mem_bytes)) {
-    halt_error("fp load from unmapped address");
+    halt_error("fp load from unmapped address", FailureKind::kBusError);
     return;
   }
   const u64 raw = mem_.load(addr, pre.mem_bytes);
@@ -255,7 +257,7 @@ void Iss::h_fp_load(const Instr& in, const PredecodedInstr& pre) {
 void Iss::h_fp_store(const Instr& in, const PredecodedInstr& pre) {
   const Addr addr = state_.read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(addr, pre.mem_bytes)) {
-    halt_error("fp store to unmapped address");
+    halt_error("fp store to unmapped address", FailureKind::kBusError);
     return;
   }
   const u64 v = read_fp(in.rs2);
@@ -304,7 +306,7 @@ void Iss::h_frep(const Instr& in, const PredecodedInstr&) {
 
 void Iss::h_scfg_w(const Instr& in, const PredecodedInstr&) {
   const Status s = ssrs_.cfg_write(in.imm, state_.read_x(in.rs1));
-  if (!s.is_ok()) halt_error(s.message());
+  if (!s.is_ok()) halt_error(s.message(), s.kind());
 }
 
 void Iss::h_scfg_r(const Instr& in, const PredecodedInstr&) {
@@ -331,7 +333,7 @@ void Iss::h_dma_str(const Instr& in, const PredecodedInstr&) {
 void Iss::h_dma_cpy(const Instr& in, const PredecodedInstr&) {
   const Result<u32> id = dma_.copy(mem_, state_.read_x(in.rs1), 1);
   if (!id.ok()) {
-    halt_error(id.status().message());
+    halt_error(id.status().message(), id.status().kind());
     return;
   }
   state_.write_x(in.rd, id.value());
@@ -341,7 +343,7 @@ void Iss::h_dma_cpy2d(const Instr& in, const PredecodedInstr&) {
   const Result<u32> id =
       dma_.copy(mem_, state_.read_x(in.rs1), state_.read_x(in.rs2));
   if (!id.ok()) {
-    halt_error(id.status().message());
+    halt_error(id.status().message(), id.status().kind());
     return;
   }
   state_.write_x(in.rd, id.value());
@@ -664,6 +666,15 @@ void Iss::run_burst(u64 stop_at) {
   while (halt_ == HaltReason::kNone && instret_ < stop_at) step();
 }
 #endif
+
+FailureKind Iss::failure_kind() const {
+  switch (halt_) {
+    case HaltReason::kError: return error_kind_;
+    case HaltReason::kMaxSteps: return FailureKind::kBudgetExceeded;
+    case HaltReason::kOffText: return FailureKind::kValidation;
+    default: return FailureKind::kNone;
+  }
+}
 
 HaltReason Iss::run() {
   using Clock = std::chrono::steady_clock;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "asm/program.hpp"
+#include "common/status.hpp"
 #include "common/types.hpp"
 #include "core/arch_chain.hpp"
 #include "dma/dma.hpp"
@@ -60,6 +61,9 @@ class Iss {
   [[nodiscard]] ArchState& state() { return state_; }
   [[nodiscard]] HaltReason halt_reason() const { return halt_; }
   [[nodiscard]] const std::string& error() const { return error_; }
+  /// Kind of an abnormal halt: the failing site's kind for kError,
+  /// kBudgetExceeded for kMaxSteps, kValidation for kOffText, else kNone.
+  [[nodiscard]] FailureKind failure_kind() const;
   [[nodiscard]] u64 instret() const { return instret_; }
   [[nodiscard]] const chain::ArchChainFile& chains() const { return chains_; }
 
@@ -73,7 +77,8 @@ class Iss {
     (this->*kHandlers[static_cast<usize>(pre.handler)])(prog_.instrs[idx], pre);
   }
 
-  void halt_error(const std::string& message);
+  void halt_error(const std::string& message,
+                  FailureKind kind = FailureKind::kValidation);
 
   /// Operand read honoring SSR mapping and chaining FIFO semantics.
   u64 read_fp(u8 reg);
@@ -138,6 +143,7 @@ class Iss {
   std::string error_;
   u64 instret_ = 0;
   bool in_frep_ = false;
+  FailureKind error_kind_ = FailureKind::kNone;  // kind of a kError halt
 };
 
 } // namespace sch

@@ -22,7 +22,7 @@ Memory::~Memory() {
 void Memory::throw_bus_error(Addr addr) {
   std::ostringstream os;
   os << "bus error: access to unmapped address 0x" << std::hex << addr;
-  throw std::out_of_range(os.str());
+  throw BusError(os.str());
 }
 
 u8* Memory::allocate(u32 slot) {

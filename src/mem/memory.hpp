@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "asm/program.hpp"
+#include "common/status.hpp"
 #include "common/types.hpp"
 
 namespace sch {
@@ -43,8 +44,8 @@ class Memory {
   }
 
   /// Little-endian load, zero-extended into 64 bits. `bytes` in {1,2,4,8}.
-  /// Throws std::out_of_range with a "bus error" message on unmapped
-  /// access; api::Engine converts the escape into a failed RunReport.
+  /// Throws sch::BusError (a std::out_of_range with a "bus error" message)
+  /// on unmapped access; api::Engine turns it into a bus_error report.
   /// Inline so constant-size accesses on the simulation hot paths compile
   /// to a region check, a table load and one move; an access that crosses
   /// a page boundary (nothing checks alignment) goes out of line.
@@ -97,7 +98,7 @@ class Memory {
   static constexpr u8 kZeroPage[kPageSize] = {};
 
   /// Escape hatch for the inline slot_of(): builds the hex message and
-  /// throws std::out_of_range (kept out-of-line so the hot path stays small).
+  /// throws BusError (kept out-of-line so the hot path stays small).
   [[noreturn]] static void throw_bus_error(Addr addr);
 
   /// Table slot of the page holding `addr`; TCDM pages come first, then

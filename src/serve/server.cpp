@@ -60,12 +60,8 @@ Json error_line(const Json& id, const std::string& message) {
   line.set("error", message);
   // Reuse the schema-v4 failure taxonomy: every protocol-level defect is a
   // validation failure with no machine location.
-  Json failure = Json::object();
-  failure.set("kind", api::failure_kind_name(api::FailureKind::kValidation));
-  failure.set("hart", static_cast<i64>(-1));
-  failure.set("pc", static_cast<i64>(-1));
-  failure.set("cycle", static_cast<i64>(-1));
-  line.set("failure", std::move(failure));
+  line.set("failure", api::failure_json(
+                          {.kind = api::FailureKind::kValidation}));
   return line;
 }
 

@@ -24,7 +24,7 @@ Cluster::Cluster(std::vector<Program> programs, Memory& memory,
             std::max<u32>(config.num_cores, 1) * kTcdmPortsPerCore + 1),
       dma_(dma::EngineConfig{config.main_mem_latency,
                              config.main_mem_bytes_per_cycle,
-                             config.dma_queue_depth, 1024},
+                             config.dma_queue_depth},
            memory, std::max<u32>(config.num_cores, 1),
            Tcdm::dma_requester_id(std::max<u32>(config.num_cores, 1))) {
   const Status valid = cfg_.validate();
@@ -42,7 +42,7 @@ Cluster::Cluster(std::vector<Program> programs, Memory& memory,
   for (u32 h = 0; h < cfg_.num_cores; ++h) {
     Program prog = programs.size() == 1 ? programs[0] : std::move(programs[h]);
     cores_.push_back(
-        std::make_unique<Core>(std::move(prog), mem_, tcdm_, cfg_, h, &dma_));
+        std::make_unique<Core>(std::move(prog), mem_, tcdm_, cfg_, h, dma_));
   }
 }
 
@@ -134,7 +134,7 @@ void Cluster::tick() {
         break;
       }
     }
-    deadlocked_ = true;
+    failure_kind_ = FailureKind::kDeadlock;
     halt_pc_ = static_cast<i64>(pc);
     std::ostringstream os;
     os << "deadlock: no instruction retired for " << cfg_.deadlock_cycles
@@ -153,6 +153,10 @@ void Cluster::tick() {
                       : "hart " + std::to_string(h) + ": " + cores_[h]->error();
       halt_hart_ = static_cast<i32>(h);
       halt_pc_ = static_cast<i64>(cores_[h]->int_core().pc());
+      // A watchdog deadlock found in this same tick keeps its kind.
+      if (failure_kind_ == FailureKind::kNone) {
+        failure_kind_ = cores_[h]->failure_kind();
+      }
       break;
     }
   }
@@ -171,6 +175,7 @@ bool Cluster::step() {
         std::chrono::steady_clock::now() - wall_start_);
     if (static_cast<u64>(elapsed.count()) > cfg_.max_wall_ms) {
       halt_ = HaltReason::kMaxSteps;
+      failure_kind_ = FailureKind::kBudgetExceeded;
       error_ = "wall-clock budget exhausted (" +
                std::to_string(cfg_.max_wall_ms) + " ms) at cycle " +
                std::to_string(cycle_);
@@ -183,10 +188,12 @@ bool Cluster::step() {
   // halted, so a final copy-back still commits its bytes.
   if (fully_halted() && dma_.idle()) {
     halt_ = cores_[0]->halt_reason();
+    if (halt_ == HaltReason::kOffText) failure_kind_ = FailureKind::kValidation;
     return false;
   }
   if (cycle_ >= cfg_.max_cycles) {
     halt_ = HaltReason::kMaxSteps;
+    failure_kind_ = FailureKind::kBudgetExceeded;
     error_ = "cycle budget exhausted";
     return false;
   }

@@ -54,9 +54,12 @@ class Cluster {
   [[nodiscard]] HaltReason halt_reason() const { return halt_; }
   [[nodiscard]] const std::string& error() const { return error_; }
 
-  // --- structured halt information (api::Engine failure classification) ---
-  /// True when the progress watchdog fired (error() describes the wedge).
-  [[nodiscard]] bool deadlocked() const { return deadlocked_; }
+  // --- structured halt information (a report's failure section) ---
+  /// Kind of an abnormal halt: kDeadlock when the progress watchdog fired,
+  /// the faulting core's kind on a core error, kBudgetExceeded for the
+  /// cycle and wall-clock budgets, kValidation when hart 0 ran off its
+  /// text; kNone otherwise.
+  [[nodiscard]] FailureKind failure_kind() const { return failure_kind_; }
   /// Faulting hart of an abnormal halt (-1 when unknown / not hart-specific).
   [[nodiscard]] i32 halt_hart() const { return halt_hart_; }
   /// Faulting pc of an abnormal halt (-1 when unknown).
@@ -100,7 +103,7 @@ class Cluster {
   HaltReason halt_ = HaltReason::kNone;
   std::string error_;
   bool started_ = false;
-  bool deadlocked_ = false;
+  FailureKind failure_kind_ = FailureKind::kNone;
   i32 halt_hart_ = -1;
   i64 halt_pc_ = -1;
   /// Host time of the first step (wall-clock budget reference; only read

@@ -3,7 +3,7 @@
 namespace sch::sim {
 
 Core::Core(Program program, Memory& memory, Tcdm& tcdm,
-           const SimConfig& config, u32 hartid, dma::Engine* dma)
+           const SimConfig& config, u32 hartid, dma::Engine& dma)
     : prog_(std::move(program)),
       mem_(memory),
       tcdm_(tcdm),

@@ -28,7 +28,7 @@ class Core {
   /// and `dma` are cluster-owned and must outlive the core. `hartid` is the
   /// mhartid CSR value and selects the core's TCDM requester block.
   Core(Program program, Memory& memory, Tcdm& tcdm, const SimConfig& config,
-       u32 hartid, dma::Engine* dma = nullptr);
+       u32 hartid, dma::Engine& dma);
 
   /// Load this core's program data image into the shared memory. The
   /// cluster calls this once, in hartid order, before the first cycle.
@@ -59,6 +59,10 @@ class Core {
   /// FP-subsystem errors win (mirrors the original Simulator check order).
   [[nodiscard]] const std::string& error() const {
     return fp_->has_error() ? fp_->error() : core_->error();
+  }
+  /// Kind of the failure behind error().
+  [[nodiscard]] FailureKind failure_kind() const {
+    return fp_->has_error() ? fp_->failure_kind() : core_->failure_kind();
   }
 
   /// Architectural state snapshot (for ISS cross-validation).

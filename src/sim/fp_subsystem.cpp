@@ -253,7 +253,7 @@ void FpSubsystem::fill_load(const FpOp& op, Cycle now, CorePort& port) {
   if (!d) return;
   const Addr ea = op.int_operand;
   if (!mem_.valid(ea, mi.mem_bytes)) {
-    fail("fp load from unmapped address");
+    fail("fp load from unmapped address", FailureKind::kBusError);
     return;
   }
   Cycle ready_at;
@@ -292,7 +292,7 @@ void FpSubsystem::fill_store(const FpOp& op, Cycle now, CorePort& port) {
   if (!src_ready(in.rs2)) return;
   const Addr ea = op.int_operand;
   if (!mem_.valid(ea, mi.mem_bytes)) {
-    fail("fp store to unmapped address");
+    fail("fp store to unmapped address", FailureKind::kBusError);
     return;
   }
   if (Memory::in_tcdm(ea)) {

@@ -89,6 +89,8 @@ class FpSubsystem {
 
   [[nodiscard]] bool has_error() const { return !error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
+  /// Kind of the failure behind error() (kNone while there is none).
+  [[nodiscard]] FailureKind failure_kind() const { return failure_kind_; }
 
   // --- observability ---
   [[nodiscard]] const std::array<u64, isa::kNumFpRegs>& fregs() const { return fregs_; }
@@ -124,7 +126,12 @@ class FpSubsystem {
     Cycle ready_at = 0;
   };
 
-  void fail(const std::string& message) { if (error_.empty()) error_ = message; }
+  void fail(const std::string& message,
+            FailureKind kind = FailureKind::kValidation) {
+    if (!error_.empty()) return;
+    error_ = message;
+    failure_kind_ = kind;
+  }
   /// Record this cycle's issued op. A copy: the caller pops its sequencer
   /// slot right after.
   void note_issue(const isa::Instr& in) { last_issue_ = in; }
@@ -177,6 +184,7 @@ class FpSubsystem {
   std::optional<isa::Instr> last_issue_;
   const char* last_stall_ = "";
   u64 issue_seq_ = 0;
+  FailureKind failure_kind_ = FailureKind::kNone;
 };
 
 } // namespace sch::sim

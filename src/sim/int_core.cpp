@@ -16,15 +16,16 @@ using isa::PredecodedInstr;
 
 IntCore::IntCore(const Program& prog, Memory& mem, Tcdm& tcdm,
                  const SimConfig& cfg, PerfCounters& perf, FpSubsystem& fp,
-                 u32 hartid, dma::Engine* dma)
+                 u32 hartid, dma::Engine& dma)
     : prog_(prog), mem_(mem), tcdm_(tcdm), cfg_(cfg), perf_(perf), fp_(fp),
       dma_(dma), hartid_(hartid),
       lsu_req_(Tcdm::requester_id(hartid, TcdmPortId::kCoreLsu)),
       pc_(prog.text_base) {}
 
-void IntCore::fail(const std::string& message) {
+void IntCore::fail(const std::string& message, FailureKind kind) {
   if (halt_ != HaltReason::kNone) return;
   halt_ = HaltReason::kError;
+  failure_kind_ = kind;
   std::ostringstream os;
   os << "pc=0x" << std::hex << pc_ << std::dec << ": " << message;
   error_ = os.str();
@@ -243,7 +244,7 @@ bool IntCore::load_issue(const Instr& in, const PredecodedInstr& pre,
   }
   const Addr ea = read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(ea, pre.mem_bytes)) {
-    fail("load from unmapped address");
+    fail("load from unmapped address", FailureKind::kBusError);
     return false;
   }
   // Program-order interlock against offloaded FP stores to this address.
@@ -316,7 +317,7 @@ void IntCore::h_store(const Instr& in, const PredecodedInstr& pre, Cycle,
   }
   const Addr ea = read_x(in.rs1) + static_cast<u32>(pre.aux);
   if (!mem_.valid(ea, pre.mem_bytes)) {
-    fail("store to unmapped address");
+    fail("store to unmapped address", FailureKind::kBusError);
     return;
   }
   // Program-order interlock against offloaded FP loads/stores to this
@@ -470,7 +471,7 @@ void IntCore::h_scfg_w(const Instr& in, const PredecodedInstr&, Cycle,
   ++perf_.rf_int_reads;
   const Status s = fp_.cfg_write(in.imm, read_x(in.rs1));
   if (!s.is_ok()) {
-    fail(s.message());
+    fail(s.message(), s.kind());
     return;
   }
   ++perf_.csr_ops;
@@ -501,12 +502,8 @@ void IntCore::h_dma_src(const Instr& in, const PredecodedInstr&, Cycle,
     ++perf_.stall_int_raw;
     return;
   }
-  if (dma_ == nullptr) {
-    fail("dmsrc without a cluster DMA engine");
-    return;
-  }
   ++perf_.rf_int_reads;
-  dma_->set_src(hartid_, read_x(in.rs1));
+  dma_.set_src(hartid_, read_x(in.rs1));
   ++perf_.csr_ops;
   ++perf_.int_instrs;
   note_issue(in);
@@ -519,12 +516,8 @@ void IntCore::h_dma_dst(const Instr& in, const PredecodedInstr&, Cycle,
     ++perf_.stall_int_raw;
     return;
   }
-  if (dma_ == nullptr) {
-    fail("dmdst without a cluster DMA engine");
-    return;
-  }
   ++perf_.rf_int_reads;
-  dma_->set_dst(hartid_, read_x(in.rs1));
+  dma_.set_dst(hartid_, read_x(in.rs1));
   ++perf_.csr_ops;
   ++perf_.int_instrs;
   note_issue(in);
@@ -537,35 +530,31 @@ void IntCore::h_dma_str(const Instr& in, const PredecodedInstr&, Cycle,
     ++perf_.stall_int_raw;
     return;
   }
-  if (dma_ == nullptr) {
-    fail("dmstr without a cluster DMA engine");
-    return;
-  }
   perf_.rf_int_reads += 2;
-  dma_->set_strides(hartid_, static_cast<i32>(read_x(in.rs1)),
-                    static_cast<i32>(read_x(in.rs2)));
+  dma_.set_strides(hartid_, static_cast<i32>(read_x(in.rs1)),
+                   static_cast<i32>(read_x(in.rs2)));
   ++perf_.csr_ops;
   ++perf_.int_instrs;
   note_issue(in);
   pc_ += 4;
 }
 
-void IntCore::dma_issue(const Instr& in, Cycle now, u32 row_bytes, u32 rows) {
+void IntCore::dma_issue(const Instr& in, u32 row_bytes, u32 rows) {
   // Cheap queue check first: a retry against a full queue must not re-walk
   // the O(rows) footprint validation every cycle (the latches cannot change
   // while this hart is stalled here).
-  if (!dma_->can_issue(hartid_)) {
+  if (!dma_.can_issue(hartid_)) {
     ++perf_.stall_dma_full;
-    dma_->note_queue_full();
+    dma_.note_queue_full();
     return;
   }
   const Status valid =
-      dma::validate_copy(mem_, dma_->snapshot(hartid_, row_bytes, rows));
+      dma::validate_copy(mem_, dma_.snapshot(hartid_, row_bytes, rows));
   if (!valid.is_ok()) {
-    fail(valid.message());
+    fail(valid.message(), valid.kind());
     return;
   }
-  const u32 id = dma_->issue(hartid_, row_bytes, rows, now);
+  const u32 id = dma_.issue(hartid_, row_bytes, rows);
   write_x(in.rd, id);
   ++perf_.rf_int_writes;
   ++perf_.csr_ops;
@@ -574,32 +563,24 @@ void IntCore::dma_issue(const Instr& in, Cycle now, u32 row_bytes, u32 rows) {
   pc_ += 4;
 }
 
-void IntCore::h_dma_cpy(const Instr& in, const PredecodedInstr&, Cycle now,
+void IntCore::h_dma_cpy(const Instr& in, const PredecodedInstr&, Cycle,
                         CorePort&) {
   if (!ready_x(in.rs1) || !ready_x(in.rd)) {
     ++perf_.stall_int_raw;
     return;
   }
-  if (dma_ == nullptr) {
-    fail("dmcpy without a cluster DMA engine");
-    return;
-  }
   ++perf_.rf_int_reads;
-  dma_issue(in, now, read_x(in.rs1), 1);
+  dma_issue(in, read_x(in.rs1), 1);
 }
 
-void IntCore::h_dma_cpy2d(const Instr& in, const PredecodedInstr&, Cycle now,
+void IntCore::h_dma_cpy2d(const Instr& in, const PredecodedInstr&, Cycle,
                           CorePort&) {
   if (!ready_x(in.rs1) || !ready_x(in.rs2) || !ready_x(in.rd)) {
     ++perf_.stall_int_raw;
     return;
   }
-  if (dma_ == nullptr) {
-    fail("dmcpy2d without a cluster DMA engine");
-    return;
-  }
   perf_.rf_int_reads += 2;
-  dma_issue(in, now, read_x(in.rs1), read_x(in.rs2));
+  dma_issue(in, read_x(in.rs1), read_x(in.rs2));
 }
 
 void IntCore::h_dma_stat(const Instr& in, const PredecodedInstr& pre, Cycle,
@@ -608,13 +589,9 @@ void IntCore::h_dma_stat(const Instr& in, const PredecodedInstr& pre, Cycle,
     ++perf_.stall_int_raw;
     return;
   }
-  if (dma_ == nullptr) {
-    fail("dmstat without a cluster DMA engine");
-    return;
-  }
   const u32 sel = static_cast<u32>(pre.aux);
-  write_x(in.rd, sel == 0 ? dma_->completed(hartid_)
-                          : dma_->outstanding(hartid_));
+  write_x(in.rd, sel == 0 ? dma_.completed(hartid_)
+                          : dma_.outstanding(hartid_));
   ++perf_.rf_int_writes;
   ++perf_.csr_ops;
   ++perf_.int_instrs;

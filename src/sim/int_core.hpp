@@ -29,11 +29,9 @@ class IntCore {
  public:
   /// `hartid` selects this core's mhartid CSR value and its TCDM requester
   /// block (hartid * kTcdmPortsPerCore + role). `dma` is the cluster-shared
-  /// DMA engine the Xdma instructions program (may be null in unit tests
-  /// that never execute dm* instructions).
+  /// DMA engine the Xdma instructions program.
   IntCore(const Program& prog, Memory& mem, Tcdm& tcdm, const SimConfig& cfg,
-          PerfCounters& perf, FpSubsystem& fp, u32 hartid = 0,
-          dma::Engine* dma = nullptr);
+          PerfCounters& perf, FpSubsystem& fp, u32 hartid, dma::Engine& dma);
 
   /// Commit scheduled register writes (loads, muls, FP->int results) whose
   /// latency has elapsed. Call at the start of each cycle.
@@ -51,6 +49,8 @@ class IntCore {
   [[nodiscard]] HaltReason halt_reason() const { return halt_; }
   [[nodiscard]] bool has_error() const { return !error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
+  /// Kind of the failure behind error() (kNone while there is none).
+  [[nodiscard]] FailureKind failure_kind() const { return failure_kind_; }
 
   [[nodiscard]] const std::array<u32, isa::kNumIntRegs>& regs() const { return x_; }
   [[nodiscard]] Addr pc() const { return pc_; }
@@ -73,7 +73,8 @@ class IntCore {
                                     CorePort&);
   static const Handler kHandlers[static_cast<usize>(isa::ExecHandler::kCount)];
 
-  void fail(const std::string& message);
+  void fail(const std::string& message,
+            FailureKind kind = FailureKind::kValidation);
   [[nodiscard]] u32 read_x(u8 r) const { return x_[r]; }
   void write_x(u8 r, u32 v) {
     if (r != 0) x_[r] = v;
@@ -120,7 +121,7 @@ class IntCore {
 
   /// Shared tail of dmcpy/dmcpy2d once operands are read: validate, check
   /// queue space, issue, and write the transfer id into rd.
-  void dma_issue(const isa::Instr& in, Cycle now, u32 row_bytes, u32 rows);
+  void dma_issue(const isa::Instr& in, u32 row_bytes, u32 rows);
 
   /// Shared tail of an integer load once the effective address is accepted.
   bool load_issue(const isa::Instr& in, const isa::PredecodedInstr& pre,
@@ -132,7 +133,7 @@ class IntCore {
   const SimConfig& cfg_;
   PerfCounters& perf_;
   FpSubsystem& fp_;
-  dma::Engine* dma_;
+  dma::Engine& dma_;
   const u32 hartid_;
   const u32 lsu_req_; // this core's LSU requester id in the shared TCDM
 
@@ -149,6 +150,7 @@ class IntCore {
   std::string error_;
   std::optional<isa::Instr> last_issue_;
   bool last_offloaded_ = false;
+  FailureKind failure_kind_ = FailureKind::kNone;
 };
 
 } // namespace sch::sim

@@ -3,104 +3,77 @@
 // and the energy model's activity factors.
 #pragma once
 
+#include <iterator>
+
 #include "common/types.hpp"
 
 namespace sch::sim {
 
+/// The one list of counters, in declaration order: X(member, stalls_key).
+/// `stalls_key` is the counter's key in a report's "stalls" object, or
+/// nullptr when reports leave it out. PerfCounters' members, operator+=,
+/// kPerfFields (report stalls, `schsim sim`, the timing-oracle pins) all
+/// expand this list.
+#define SCH_PERF_COUNTERS(X)                                                  \
+  X(cycles, nullptr)                                                          \
+  /* Retire counts. */                                                        \
+  X(int_instrs, nullptr)    /* on the int core (not offloaded) */             \
+  X(fp_instrs, nullptr)     /* FP subsystem: compute + fld/fsd */             \
+  X(offloads, nullptr)      /* instructions pushed into the FP queue */       \
+  X(fpu_ops, nullptr)       /* FP compute operations entering the FPU */      \
+  /* Instruction mix (for the energy model). */                               \
+  X(int_alu_ops, nullptr)                                                     \
+  X(int_mul_ops, nullptr)                                                     \
+  X(int_div_ops, nullptr)                                                     \
+  X(int_loads, nullptr)                                                       \
+  X(int_stores, nullptr)                                                      \
+  X(branches, nullptr)                                                        \
+  X(csr_ops, nullptr)                                                         \
+  X(fp_mac_ops, nullptr)    /* pipelined FP compute */                        \
+  X(fp_div_ops, nullptr)    /* div + sqrt */                                  \
+  X(fp_loads, nullptr)                                                        \
+  X(fp_stores, nullptr)                                                       \
+  /* Register-file activity (energy model). */                                \
+  X(rf_int_reads, nullptr)                                                    \
+  X(rf_int_writes, nullptr)                                                   \
+  X(rf_fp_reads, nullptr)                                                     \
+  X(rf_fp_writes, nullptr)                                                    \
+  /* FP issue-stall attribution (cycles where an FP instruction was */        \
+  /* available but could not issue). */                                       \
+  X(stall_fp_raw, "fp_raw")           /* scoreboard RAW, normal register */   \
+  X(stall_fp_waw, "fp_waw")           /* scoreboard WAW, normal register */   \
+  X(stall_chain_empty, "chain_empty") /* chain FIFO empty (consumer early) */ \
+  X(stall_chain_full, "chain_full")   /* writeback backpressure */            \
+  X(stall_ssr_empty, "ssr_empty")     /* read-stream FIFO empty */            \
+  X(stall_ssr_wfull, "ssr_wfull")     /* write-stream FIFO full */            \
+  X(stall_fpu_busy, "fpu_busy")       /* div unit / frozen pipeline */        \
+  X(stall_fp_lsu, "fp_lsu")           /* fld/fsd TCDM port or bank denied */  \
+  X(fp_queue_empty, nullptr)          /* FP issue idle, nothing queued */     \
+  /* Integer-core stalls. */                                                  \
+  X(stall_offload_full, "offload_full") /* FP queue full */                   \
+  X(stall_int_raw, "int_raw")     /* load-use / FP->int / mul in flight */    \
+  X(stall_int_lsu, "int_lsu")     /* TCDM port or bank denied */              \
+  X(stall_csr_barrier, "csr_barrier") /* stream CSR awaits FP quiescence */   \
+  X(stall_dma_full, "dma_full")   /* dmcpy retrying a full DMA queue */       \
+  X(branch_bubbles, "branch_bubbles")                                         \
+  X(int_div_busy, nullptr)        /* blocking divider cycles */
+
 struct PerfCounters {
-  u64 cycles = 0;
-
-  // Retire counts.
-  u64 int_instrs = 0;   // executed on the integer core (non-offloaded)
-  u64 fp_instrs = 0;    // issued by the FP subsystem (compute + fld/fsd)
-  u64 offloads = 0;     // instructions pushed into the FP queue
-  u64 fpu_ops = 0;      // FP compute operations entering the FPU pipeline
-
-  // Instruction mix (for the energy model).
-  u64 int_alu_ops = 0;
-  u64 int_mul_ops = 0;
-  u64 int_div_ops = 0;
-  u64 int_loads = 0;
-  u64 int_stores = 0;
-  u64 branches = 0;
-  u64 csr_ops = 0;
-  u64 fp_mac_ops = 0;   // pipelined FP compute
-  u64 fp_div_ops = 0;   // div + sqrt
-  u64 fp_loads = 0;
-  u64 fp_stores = 0;
-
-  // Register-file activity (energy model).
-  u64 rf_int_reads = 0;
-  u64 rf_int_writes = 0;
-  u64 rf_fp_reads = 0;
-  u64 rf_fp_writes = 0;
-
-  // FP issue-stall attribution (cycles where an FP instruction was available
-  // but could not issue).
-  u64 stall_fp_raw = 0;         // scoreboard RAW on a normal register
-  u64 stall_fp_waw = 0;         // scoreboard WAW on a normal register
-  u64 stall_chain_empty = 0;    // chain FIFO valid bit clear (consumer early)
-  u64 stall_chain_full = 0;     // writeback backpressure (producer early)
-  u64 stall_ssr_empty = 0;      // read-stream FIFO empty
-  u64 stall_ssr_wfull = 0;      // write-stream FIFO full at writeback
-  u64 stall_fpu_busy = 0;       // structural: div unit / frozen pipeline
-  u64 stall_fp_lsu = 0;         // fld/fsd TCDM port or bank denied
-  u64 fp_queue_empty = 0;       // FP issue idle with nothing queued
-
-  // Integer-core stalls.
-  u64 stall_offload_full = 0;   // FP queue full
-  u64 stall_int_raw = 0;        // load-use / FP->int / mul in flight
-  u64 stall_int_lsu = 0;        // TCDM port or bank denied
-  u64 stall_csr_barrier = 0;    // stream-CSR write awaiting FP quiescence
-  u64 stall_dma_full = 0;       // dmcpy retrying against a full DMA queue
-  u64 branch_bubbles = 0;
-  u64 int_div_busy = 0;         // blocking divider cycles
+#define SCH_PERF_MEMBER(member, stalls_key) u64 member = 0;
+  SCH_PERF_COUNTERS(SCH_PERF_MEMBER)
+#undef SCH_PERF_MEMBER
 
   [[nodiscard]] double fpu_utilization() const {
     return cycles == 0 ? 0.0 : static_cast<double>(fpu_ops) / static_cast<double>(cycles);
   }
   [[nodiscard]] u64 total_retired() const { return int_instrs + fp_instrs; }
 
-  /// Field-wise sum (cluster aggregation). Lives next to the field list so
-  /// a new counter cannot be forgotten; `cycles` is summed too — the
+  /// Field-wise sum (cluster aggregation). `cycles` is summed too — the
   /// cluster overwrites it with its own cycle count afterwards.
   PerfCounters& operator+=(const PerfCounters& o) {
-    cycles += o.cycles;
-    int_instrs += o.int_instrs;
-    fp_instrs += o.fp_instrs;
-    offloads += o.offloads;
-    fpu_ops += o.fpu_ops;
-    int_alu_ops += o.int_alu_ops;
-    int_mul_ops += o.int_mul_ops;
-    int_div_ops += o.int_div_ops;
-    int_loads += o.int_loads;
-    int_stores += o.int_stores;
-    branches += o.branches;
-    csr_ops += o.csr_ops;
-    fp_mac_ops += o.fp_mac_ops;
-    fp_div_ops += o.fp_div_ops;
-    fp_loads += o.fp_loads;
-    fp_stores += o.fp_stores;
-    rf_int_reads += o.rf_int_reads;
-    rf_int_writes += o.rf_int_writes;
-    rf_fp_reads += o.rf_fp_reads;
-    rf_fp_writes += o.rf_fp_writes;
-    stall_fp_raw += o.stall_fp_raw;
-    stall_fp_waw += o.stall_fp_waw;
-    stall_chain_empty += o.stall_chain_empty;
-    stall_chain_full += o.stall_chain_full;
-    stall_ssr_empty += o.stall_ssr_empty;
-    stall_ssr_wfull += o.stall_ssr_wfull;
-    stall_fpu_busy += o.stall_fpu_busy;
-    stall_fp_lsu += o.stall_fp_lsu;
-    fp_queue_empty += o.fp_queue_empty;
-    stall_offload_full += o.stall_offload_full;
-    stall_int_raw += o.stall_int_raw;
-    stall_int_lsu += o.stall_int_lsu;
-    stall_csr_barrier += o.stall_csr_barrier;
-    stall_dma_full += o.stall_dma_full;
-    branch_bubbles += o.branch_bubbles;
-    int_div_busy += o.int_div_busy;
+#define SCH_PERF_ADD(member, stalls_key) member += o.member;
+    SCH_PERF_COUNTERS(SCH_PERF_ADD)
+#undef SCH_PERF_ADD
     return *this;
   }
 
@@ -109,5 +82,21 @@ struct PerfCounters {
   /// with the host-speed fast paths off vs on bit-identical through this.
   [[nodiscard]] bool operator==(const PerfCounters&) const = default;
 };
+
+/// One row of the counter list, for code that walks every counter.
+struct PerfField {
+  const char* name;        // member name (the timing-oracle key)
+  const char* stalls_key;  // key in a report's "stalls" object, or nullptr
+  u64 PerfCounters::*member;
+};
+
+inline constexpr PerfField kPerfFields[] = {
+#define SCH_PERF_FIELD(member, stalls_key) \
+  PerfField{#member, stalls_key, &PerfCounters::member},
+    SCH_PERF_COUNTERS(SCH_PERF_FIELD)
+#undef SCH_PERF_FIELD
+};
+static_assert(sizeof(PerfCounters) == std::size(kPerfFields) * sizeof(u64),
+              "every PerfCounters member must come from SCH_PERF_COUNTERS");
 
 } // namespace sch::sim

@@ -221,6 +221,7 @@ TEST(Assembler, Errors) {
   EXPECT_NE(err("bogus a0, a1\n"), "");
   EXPECT_NE(err("addi a0, a1\n"), "");            // missing imm
   EXPECT_NE(err("addi a0, a1, 5000\n"), "");      // imm out of range
+  EXPECT_NE(err("jalr ra, a0, 5000\n"), "");      // jalr imm out of range
   EXPECT_NE(err("beq a0, a1, nowhere\n"), "");    // undefined label
   EXPECT_NE(err("x: nop\nx: nop\n"), "");         // duplicate label
   EXPECT_NE(err(".data\n.word 1\n.text\n.word 1\n"), ""); // data dir in text

@@ -16,7 +16,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -33,56 +32,6 @@ namespace {
 
 constexpr const char* kGoldenPath = SCH_GOLDEN_DIR "/timing_oracle.json";
 const u32 kCoreCounts[] = {1, 4};
-
-using sim::PerfCounters;
-
-struct PerfField {
-  const char* name;
-  u64 PerfCounters::*member;
-};
-
-// Every PerfCounters field, in declaration order.
-constexpr PerfField kPerfFields[] = {
-    {"cycles", &PerfCounters::cycles},
-    {"int_instrs", &PerfCounters::int_instrs},
-    {"fp_instrs", &PerfCounters::fp_instrs},
-    {"offloads", &PerfCounters::offloads},
-    {"fpu_ops", &PerfCounters::fpu_ops},
-    {"int_alu_ops", &PerfCounters::int_alu_ops},
-    {"int_mul_ops", &PerfCounters::int_mul_ops},
-    {"int_div_ops", &PerfCounters::int_div_ops},
-    {"int_loads", &PerfCounters::int_loads},
-    {"int_stores", &PerfCounters::int_stores},
-    {"branches", &PerfCounters::branches},
-    {"csr_ops", &PerfCounters::csr_ops},
-    {"fp_mac_ops", &PerfCounters::fp_mac_ops},
-    {"fp_div_ops", &PerfCounters::fp_div_ops},
-    {"fp_loads", &PerfCounters::fp_loads},
-    {"fp_stores", &PerfCounters::fp_stores},
-    {"rf_int_reads", &PerfCounters::rf_int_reads},
-    {"rf_int_writes", &PerfCounters::rf_int_writes},
-    {"rf_fp_reads", &PerfCounters::rf_fp_reads},
-    {"rf_fp_writes", &PerfCounters::rf_fp_writes},
-    {"stall_fp_raw", &PerfCounters::stall_fp_raw},
-    {"stall_fp_waw", &PerfCounters::stall_fp_waw},
-    {"stall_chain_empty", &PerfCounters::stall_chain_empty},
-    {"stall_chain_full", &PerfCounters::stall_chain_full},
-    {"stall_ssr_empty", &PerfCounters::stall_ssr_empty},
-    {"stall_ssr_wfull", &PerfCounters::stall_ssr_wfull},
-    {"stall_fpu_busy", &PerfCounters::stall_fpu_busy},
-    {"stall_fp_lsu", &PerfCounters::stall_fp_lsu},
-    {"fp_queue_empty", &PerfCounters::fp_queue_empty},
-    {"stall_offload_full", &PerfCounters::stall_offload_full},
-    {"stall_int_raw", &PerfCounters::stall_int_raw},
-    {"stall_int_lsu", &PerfCounters::stall_int_lsu},
-    {"stall_csr_barrier", &PerfCounters::stall_csr_barrier},
-    {"stall_dma_full", &PerfCounters::stall_dma_full},
-    {"branch_bubbles", &PerfCounters::branch_bubbles},
-    {"int_div_busy", &PerfCounters::int_div_busy},
-};
-// A counter added to PerfCounters must be added above, or it goes unpinned.
-static_assert(sizeof(PerfCounters) == std::size(kPerfFields) * sizeof(u64),
-              "kPerfFields must list every PerfCounters field");
 
 /// One pinned counter of a run: golden section `group`, key `name`.
 struct Counter {
@@ -107,7 +56,8 @@ std::string row_key(const std::string& kernel, const std::string& variant,
 
 std::vector<Counter> counters_of(const RunReport& r) {
   std::vector<Counter> out;
-  for (const PerfField& f : kPerfFields) {
+  // Every PerfCounters field, keyed by member name (sim::kPerfFields).
+  for (const sim::PerfField& f : sim::kPerfFields) {
     out.push_back({"perf", f.name, r.perf.*f.member});
   }
   out.push_back({"tcdm", "reads", r.tcdm_reads});

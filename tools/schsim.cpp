@@ -164,23 +164,14 @@ void print_perf(const sim::PerfCounters& p) {
               static_cast<unsigned long long>(p.offloads));
   std::printf("fpu ops:           %llu (utilization %.3f)\n",
               static_cast<unsigned long long>(p.fpu_ops), p.fpu_utilization());
-  std::printf("stalls:            raw=%llu waw=%llu chain-empty=%llu "
-              "chain-full=%llu ssr-empty=%llu ssr-wfull=%llu lsu=%llu\n",
-              static_cast<unsigned long long>(p.stall_fp_raw),
-              static_cast<unsigned long long>(p.stall_fp_waw),
-              static_cast<unsigned long long>(p.stall_chain_empty),
-              static_cast<unsigned long long>(p.stall_chain_full),
-              static_cast<unsigned long long>(p.stall_ssr_empty),
-              static_cast<unsigned long long>(p.stall_ssr_wfull),
-              static_cast<unsigned long long>(p.stall_fp_lsu));
-  std::printf("int-core stalls:   offload-full=%llu raw=%llu lsu=%llu "
-              "csr-barrier=%llu dma-full=%llu branch-bubbles=%llu\n",
-              static_cast<unsigned long long>(p.stall_offload_full),
-              static_cast<unsigned long long>(p.stall_int_raw),
-              static_cast<unsigned long long>(p.stall_int_lsu),
-              static_cast<unsigned long long>(p.stall_csr_barrier),
-              static_cast<unsigned long long>(p.stall_dma_full),
-              static_cast<unsigned long long>(p.branch_bubbles));
+  // The report's "stalls" keys, in report order.
+  std::printf("stalls:           ");
+  for (const sim::PerfField& f : sim::kPerfFields) {
+    if (f.stalls_key == nullptr) continue;
+    std::printf(" %s=%llu", f.stalls_key,
+                static_cast<unsigned long long>(p.*f.member));
+  }
+  std::printf("\n");
 }
 
 int cmd_list_kernels(int argc, char** argv) {
