@@ -10,11 +10,11 @@ namespace sch::api {
 void TraceObserver::on_cycle(const sim::Simulator& simulator) {
   sim::TraceEntry e;
   e.cycle = simulator.cycles();
-  if (const auto& in = simulator.core().last_issue()) {
+  if (const isa::Instr* in = simulator.core().last_issue()) {
     e.int_issue = (simulator.core().last_offloaded() ? "offload " : "") +
                   isa::disassemble(*in);
   }
-  if (const auto& in = simulator.fp().last_issue()) {
+  if (const isa::Instr* in = simulator.fp().last_issue()) {
     e.fp_issue = isa::disassemble(*in);
   }
   e.fp_stall = simulator.fp().last_stall();

@@ -1,7 +1,8 @@
 #include "asm/builder.hpp"
 
-#include <cstring>
+#include <bit>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/bitfield.hpp"
 #include "isa/decode.hpp"
@@ -10,6 +11,28 @@ namespace sch {
 
 using isa::Instr;
 using isa::Mnemonic;
+
+namespace {
+
+/// Append `values` to `data` as little-endian sizeof(T)-byte words, growing
+/// the vector once.
+template <typename T>
+void append_le(std::vector<u8>& data, const std::vector<T>& values) {
+  const usize at = data.size();
+  data.resize(at + values.size() * sizeof(T));
+  u8* out = data.data() + at;
+  for (const T v : values) {
+    u64 bits = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      bits = std::bit_cast<u64>(v);
+    } else {
+      bits = v;
+    }
+    for (usize i = 0; i < sizeof(T); ++i) *out++ = static_cast<u8>(bits >> (8 * i));
+  }
+}
+
+} // namespace
 
 ProgramBuilder::ProgramBuilder(Addr text_base, Addr data_base) {
   prog_.text_base = text_base;
@@ -187,34 +210,25 @@ Addr ProgramBuilder::data_here() const {
 
 Addr ProgramBuilder::data_align(u32 align) {
   if (!is_pow2(align)) throw std::invalid_argument("data_align: not a power of two");
-  while ((prog_.data.size() % align) != 0) prog_.data.push_back(0);
+  prog_.data.resize((prog_.data.size() + align - 1) & ~usize{align - 1});
   return data_here();
 }
 
 Addr ProgramBuilder::data_f64(const std::vector<double>& values) {
   const Addr base = data_align(8);
-  for (double v : values) {
-    u64 bitsv = 0;
-    std::memcpy(&bitsv, &v, sizeof bitsv);
-    for (int i = 0; i < 8; ++i) prog_.data.push_back(static_cast<u8>(bitsv >> (8 * i)));
-  }
+  append_le(prog_.data, values);
   return base;
 }
 
 Addr ProgramBuilder::data_u32(const std::vector<u32>& values) {
   const Addr base = data_align(4);
-  for (u32 v : values) {
-    for (int i = 0; i < 4; ++i) prog_.data.push_back(static_cast<u8>(v >> (8 * i)));
-  }
+  append_le(prog_.data, values);
   return base;
 }
 
 Addr ProgramBuilder::data_u16(const std::vector<u16>& values) {
   const Addr base = data_align(2);
-  for (u16 v : values) {
-    prog_.data.push_back(static_cast<u8>(v & 0xFF));
-    prog_.data.push_back(static_cast<u8>(v >> 8));
-  }
+  append_le(prog_.data, values);
   return base;
 }
 

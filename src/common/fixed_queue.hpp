@@ -1,9 +1,12 @@
 // Bounded FIFO used for hardware queues (offload queue, SSR data FIFOs,
 // chain FIFO models). Capacity fixed at construction; overflow is a modeling
 // bug and asserts. Implemented as a ring buffer over preallocated storage so
-// push/pop are O(1) and the simulation hot loop never allocates.
+// push/pop are O(1) and the simulation hot loop never allocates. The
+// storage rounds up to a power of two so indices wrap by mask; capacity,
+// full() and order do not depend on it.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -15,7 +18,9 @@ template <typename T>
 class FixedQueue {
  public:
   explicit FixedQueue(std::size_t capacity)
-      : storage_(capacity), capacity_(capacity) {
+      : storage_(std::bit_ceil(capacity)),
+        capacity_(capacity),
+        mask_(storage_.size() - 1) {
     assert(capacity_ > 0);
   }
 
@@ -65,12 +70,11 @@ class FixedQueue {
   }
 
  private:
-  [[nodiscard]] std::size_t wrap(std::size_t i) const {
-    return i >= capacity_ ? i - capacity_ : i;
-  }
+  [[nodiscard]] std::size_t wrap(std::size_t i) const { return i & mask_; }
 
   std::vector<T> storage_;
   std::size_t capacity_;
+  std::size_t mask_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };

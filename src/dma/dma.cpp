@@ -62,13 +62,6 @@ Engine::Engine(const EngineConfig& config, Memory& memory, u32 num_harts,
   ch_.resize(num_harts);
 }
 
-bool Engine::idle() const {
-  for (const Channel& ch : ch_) {
-    if (!ch.queue.empty()) return false;
-  }
-  return true;
-}
-
 Transfer Engine::snapshot(u32 hart, u32 row_bytes, u32 rows) const {
   assert(hart < fe_.size());
   const FrontEnd& fe = fe_[hart];

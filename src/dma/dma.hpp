@@ -143,7 +143,12 @@ class Engine {
   }
 
   /// No transfer queued or in flight on any channel.
-  [[nodiscard]] bool idle() const;
+  [[nodiscard]] bool idle() const {
+    for (const Channel& ch : ch_) {
+      if (!ch.queue.empty()) return false;
+    }
+    return true;
+  }
 
   /// Advance every channel's head transfer by one cycle: startup latency
   /// first, then up to main_mem_bytes_per_cycle bytes in 8-byte beats, each

@@ -1,5 +1,7 @@
 #include "isa/predecode.hpp"
 
+#include <cstdio>
+
 namespace sch::isa {
 namespace {
 
@@ -70,7 +72,38 @@ PredecodedInstr predecode(const Instr& in) {
   p.aux = precompute_aux(in, p.handler);
   p.fp_domain = p.mi->fp_domain;
   p.mem_bytes = p.mi->mem_bytes;
+
+  const RegClass classes[3] = {p.mi->rs1, p.mi->rs2, p.mi->rs3};
+  const u8 regs[3] = {in.rs1, in.rs2, in.rs3};
+  for (u32 slot = 0; slot < 3; ++slot) {
+    if (classes[slot] != RegClass::kFp) continue;
+    u8 j = 0;
+    while (j < p.n_fp_srcs && p.fp_srcs[j] != regs[slot]) ++j;
+    if (j == p.n_fp_srcs) p.fp_srcs[p.n_fp_srcs++] = regs[slot];
+    p.fp_slot[slot] = j;
+  }
   return p;
+}
+
+std::string frep_body_error(const std::vector<PredecodedInstr>& pre,
+                            usize site) {
+  const u32 body = static_cast<u32>(pre[site].aux);
+  if (body == 0) return "frep with empty body";
+  for (u32 i = 0; i < body; ++i) {
+    const usize idx = site + 1 + i;
+    if (idx >= pre.size() || !pre[idx].fp_domain) {
+      return "frep body contains a non-FP instruction at offset " +
+             std::to_string(i);
+    }
+    if (pre[idx].handler == ExecHandler::kFrep) return "nested frep";
+  }
+  return "";
+}
+
+std::string illegal_encoding_message(u32 word) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "illegal instruction encoding 0x%08x", word);
+  return buf;
 }
 
 void link_superblocks(std::vector<PredecodedInstr>& pre) {
@@ -96,18 +129,10 @@ void link_superblocks(std::vector<PredecodedInstr>& pre) {
                            : kNoIndex;
         break;
       }
-      case ExecHandler::kFrep: {
-        // Static body validation, once per site: non-empty, fully inside
-        // the text segment, FP-domain only, no nested frep.
-        const u32 body = static_cast<u32>(p.aux);
-        bool ok = body != 0 && i + body < n;
-        for (u32 b = 1; ok && b <= body; ++b) {
-          ok = pre[i + b].fp_domain &&
-               pre[i + b].handler != ExecHandler::kFrep;
-        }
-        if (ok) p.flags |= preflag::kFrepBodyOk;
+      case ExecHandler::kFrep:
+        // Static body validation, once per site.
+        if (frep_body_error(pre, i).empty()) p.flags |= preflag::kFrepBodyOk;
         break;
-      }
       default:
         break;
     }

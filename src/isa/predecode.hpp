@@ -6,6 +6,7 @@
 // instead of re-deriving everything from the mnemonic on every execution.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "isa/instr.hpp"
@@ -87,19 +88,23 @@ namespace preflag {
 inline constexpr u8 kFrepBodyOk = 1u << 0;
 } // namespace preflag
 
+/// PredecodedInstr::fp_slot value of an operand slot that is not an FP
+/// register.
+inline constexpr u8 kNoFpSlot = 0xFF;
+
 /// Per-instruction record resolved once at load.
 struct PredecodedInstr {
   /// Cached metadata (never null; kInvalid's sentinel entry for bad words).
   const MnemonicInfo* mi = nullptr;
   ExecHandler handler = ExecHandler::kInvalid;
-  /// Handler-specific precomputed immediate: the full upper-immediate value
-  /// for lui/auipc (imm << 12), the PC-relative delta for branches/jal, the
-  /// CSR address for CSR ops, otherwise the sign-extended immediate.
-  i32 aux = 0;
   bool fp_domain = false;
   u8 mem_bytes = 0;
   /// preflag:: bits (superblock pass).
   u8 flags = 0;
+  /// Handler-specific precomputed immediate: the full upper-immediate value
+  /// for lui/auipc (imm << 12), the PC-relative delta for branches/jal, the
+  /// CSR address for CSR ops, otherwise the sign-extended immediate.
+  i32 aux = 0;
   /// Straight-line superblock length starting at this instruction: this
   /// record and the next run_len-1 are all linear (exec_handler_linear) and
   /// inside the text segment. 0 for non-linear records (superblock pass).
@@ -108,6 +113,16 @@ struct PredecodedInstr {
   /// (Program::kNoIndex) when the target leaves the text segment or is
   /// misaligned (superblock pass).
   u32 target_idx = 0xFFFF'FFFF;
+  /// FP source plan (the pop-once rule): the distinct FP registers the
+  /// rs1/rs2/rs3 slots name, in that order. An instruction naming one
+  /// stream or chain register in several slots reads (pops) it once and
+  /// feeds every such slot that value, as Snitch does. Every engine and
+  /// the verifier read sources through this plan.
+  u8 n_fp_srcs = 0;
+  u8 fp_srcs[3] = {};
+  /// Per operand slot (rs1, rs2, rs3): index into fp_srcs, or kNoFpSlot
+  /// when the slot is not an FP register.
+  u8 fp_slot[3] = {kNoFpSlot, kNoFpSlot, kNoFpSlot};
 };
 
 /// Resolve the execution record for one decoded instruction.
@@ -121,5 +136,19 @@ struct PredecodedInstr {
 /// program edit must rebuild via Program::predecode() (full rebuild -- the
 /// invalidation hook -- so stale block metadata can never survive an edit).
 void link_superblocks(std::vector<PredecodedInstr>& pre);
+
+/// Why the frep marker at text index `site` of `pre` cannot run its body,
+/// or "" when the body is well formed. Checked in this order: an empty
+/// body ("frep with empty body"), then the first body slot that is not an
+/// FP-domain instruction inside the text ("frep body contains a non-FP
+/// instruction at offset N"), then a frep inside the body ("nested
+/// frep"). link_superblocks sets kFrepBodyOk from it; both engines fail a
+/// marker whose flag is clear with this text.
+[[nodiscard]] std::string frep_body_error(
+    const std::vector<PredecodedInstr>& pre, usize site);
+
+/// Both engines' diagnostic for a kInvalid record: "illegal instruction
+/// encoding 0x%08x" of the raw word.
+[[nodiscard]] std::string illegal_encoding_message(u32 word);
 
 } // namespace sch::isa

@@ -264,36 +264,26 @@ void Iss::h_fp_store(const Instr& in, const PredecodedInstr& pre) {
   mem_.store(addr, pre.mem_bytes == 4 ? exec::unbox32(v) : v, pre.mem_bytes);
 }
 
+std::array<u64, 3> Iss::read_fp_operands(const PredecodedInstr& pre) {
+  u64 src_val[3] = {};
+  for (u32 i = 0; i < pre.n_fp_srcs; ++i) src_val[i] = read_fp(pre.fp_srcs[i]);
+  std::array<u64, 3> ops{};
+  for (u32 slot = 0; slot < 3; ++slot) {
+    if (pre.fp_slot[slot] != isa::kNoFpSlot) ops[slot] = src_val[pre.fp_slot[slot]];
+  }
+  return ops;
+}
+
 void Iss::h_fp_compute(const Instr& in, const PredecodedInstr& pre) {
-  // An instruction naming the same stream/chain register in several operand
-  // slots pops it once and feeds all slots (Snitch semantics; matches the
-  // cycle-level model).
-  const isa::MnemonicInfo& mi = *pre.mi;
-  u8 seen[3];
-  u64 vals[3];
-  u32 n = 0;
-  auto read_once = [&](u8 r) -> u64 {
-    for (u32 i = 0; i < n; ++i) {
-      if (seen[i] == r) return vals[i];
-    }
-    seen[n] = r;
-    vals[n] = read_fp(r);
-    return vals[n++];
-  };
-  const u64 a = read_once(in.rs1);
-  const u64 b = mi.rs2 == isa::RegClass::kFp ? read_once(in.rs2) : 0;
-  const u64 c = mi.rs3 == isa::RegClass::kFp ? read_once(in.rs3) : 0;
+  const std::array<u64, 3> ops = read_fp_operands(pre);
   if (halt_ != HaltReason::kNone) return;
-  write_fp(in.rd, exec::fp_compute(in.mn, a, b, c));
+  write_fp(in.rd, exec::fp_compute(in.mn, ops[0], ops[1], ops[2]));
 }
 
 void Iss::h_fp_to_int(const Instr& in, const PredecodedInstr& pre) {
-  const u64 a = read_fp(in.rs1);
-  const u64 b = pre.mi->rs2 == isa::RegClass::kFp
-                    ? (in.rs2 == in.rs1 ? a : read_fp(in.rs2))
-                    : 0;
+  const std::array<u64, 3> ops = read_fp_operands(pre);
   if (halt_ != HaltReason::kNone) return;
-  state_.write_x(in.rd, exec::fp_to_int(in.mn, a, b));
+  state_.write_x(in.rd, exec::fp_to_int(in.mn, ops[0], ops[1]));
 }
 
 void Iss::h_fp_from_int(const Instr& in, const PredecodedInstr&) {
@@ -399,33 +389,17 @@ void Iss::exec_frep(const Instr& in) {
   }
   const u32 reps = state_.read_x(in.rs1) + 1;
   const u32 body = static_cast<u32>(in.imm);
-  if (body == 0) {
-    halt_error("frep with empty body");
-    return;
-  }
   // Only reachable through dispatch on a fetched instruction, so the pc is
   // always a valid text index.
   const u32 site = prog_.text_index(state_.pc);
   assert(site != Program::kNoIndex);
   const u32 body_idx = site + 1;
-  // The body (FP-domain instructions only, no nesting, inside the text
-  // segment) was validated once per static site at predecode time; a clear
-  // flag means the body is malformed, and the walk below only runs then to
-  // name the first offending offset.
+  // The body was validated once per static site at predecode time; a clear
+  // flag means it is malformed, and only then is it walked again to name
+  // the first offending slot.
   if ((prog_.pre[site].flags & isa::preflag::kFrepBodyOk) == 0) {
-    for (u32 i = 0; i < body; ++i) {
-      const u32 idx = body_idx + i;
-      if (idx >= prog_.instrs.size() || !prog_.pre[idx].fp_domain) {
-        halt_error("frep body contains a non-FP instruction at offset " +
-                   std::to_string(i));
-        return;
-      }
-      if (prog_.pre[idx].handler == ExecHandler::kFrep) {
-        halt_error("nested frep");
-        return;
-      }
-    }
-    assert(!"frep body flagged invalid at predecode but revalidates clean");
+    halt_error(isa::frep_body_error(prog_.pre, site));
+    return;
   }
   in_frep_ = true;
   const Addr body_base = state_.pc + 4;
@@ -460,8 +434,7 @@ bool Iss::step() {
   }
   const PredecodedInstr& pre = prog_.pre[idx];
   if (pre.handler == ExecHandler::kInvalid && !prog_.instrs[idx].valid()) {
-    halt_error("illegal instruction encoding 0x" +
-               std::to_string(prog_.instrs[idx].raw));
+    halt_error(isa::illegal_encoding_message(prog_.instrs[idx].raw));
     return false;
   }
   exec(idx);
@@ -652,8 +625,7 @@ L_ebreak:
 
 L_invalid:
   if (!prog_.instrs[idx].valid()) {
-    halt_error("illegal instruction encoding 0x" +
-               std::to_string(prog_.instrs[idx].raw));
+    halt_error(isa::illegal_encoding_message(prog_.instrs[idx].raw));
     return;
   }
   h_invalid(prog_.instrs[idx], prog_.pre[idx]);

@@ -8,6 +8,8 @@
 // shifts are resolved once at load instead of on every dynamic instruction.
 #pragma once
 
+#include <array>
+
 #include <string>
 #include <vector>
 
@@ -82,6 +84,10 @@ class Iss {
 
   /// Operand read honoring SSR mapping and chaining FIFO semantics.
   u64 read_fp(u8 reg);
+  /// The rs1/rs2/rs3 operand values of `pre`: each distinct FP source is
+  /// read once through read_fp, in plan order (the pop-once rule); a slot
+  /// that is not an FP register reads 0.
+  std::array<u64, 3> read_fp_operands(const isa::PredecodedInstr& pre);
   /// Destination write honoring SSR mapping and chaining FIFO semantics.
   void write_fp(u8 reg, u64 value);
 
@@ -122,7 +128,7 @@ class Iss {
   void h_dma_stat(const isa::Instr& in, const isa::PredecodedInstr& pre);
 
   /// Run a frep whose body was statically validated at predecode time
-  /// (preflag::kFrepBodyOk); re-walks the body for the exact diagnostic
+  /// (preflag::kFrepBodyOk); fails with isa::frep_body_error's diagnostic
   /// when the flag says the body is malformed.
   void exec_frep(const isa::Instr& in);
 

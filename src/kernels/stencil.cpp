@@ -46,14 +46,6 @@ struct Layout {
   Addr idx_odd_base = 0;
 
   [[nodiscard]] u32 lin(u32 x, u32 y, u32 z) const { return x + nx * (y + ny * z); }
-
-  /// Interior point i -> grid coordinates (x fastest, row-major interior).
-  void point_coords(u32 i, u32& x, u32& y, u32& z) const {
-    const u32 ix = nx - 2, iy = ny - 2;
-    x = 1 + i % ix;
-    y = 1 + (i / ix) % iy;
-    z = 1 + i / (ix * iy);
-  }
 };
 
 /// Neighbor offsets in canonical k order. Box stencils enumerate the full
@@ -71,6 +63,32 @@ void neighbor(StencilKind kind, u32 k, i32& dx, i32& dy, i32& dz) {
   dx = static_cast<i32>(k % 3) - 1;
   dy = static_cast<i32>((k / 3) % 3) - 1;
   dz = static_cast<i32>(k / 9) - 1;
+}
+
+/// Grid index of every interior point, in row-major interior order (x
+/// fastest): the order of the output, the golden and the index arrays.
+std::vector<i32> interior_cells(const Layout& lay) {
+  std::vector<i32> cells;
+  cells.reserve(lay.points);
+  for (u32 z = 1; z + 1 < lay.nz; ++z) {
+    for (u32 y = 1; y + 1 < lay.ny; ++y) {
+      for (u32 x = 1; x + 1 < lay.nx; ++x) {
+        cells.push_back(static_cast<i32>(lay.lin(x, y, z)));
+      }
+    }
+  }
+  return cells;
+}
+
+/// Grid-index offset of each neighbor (canonical k order) from its point.
+std::vector<i32> neighbor_offsets(StencilKind kind, const Layout& lay) {
+  std::vector<i32> off(stencil_neighbors(kind));
+  for (u32 k = 0; k < off.size(); ++k) {
+    i32 dx, dy, dz;
+    neighbor(kind, k, dx, dy, dz);
+    off[k] = dx + static_cast<i32>(lay.nx) * (dy + static_cast<i32>(lay.ny) * dz);
+  }
+  return off;
 }
 
 /// Exactly-representable input pattern.
@@ -123,21 +141,17 @@ struct GoldenResult {
   u64 flops;
 };
 
-GoldenResult golden(StencilKind kind, const Layout& lay,
+GoldenResult golden(StencilKind kind, const std::vector<i32>& cells,
+                    const std::vector<i32>& nbr_off,
                     const std::vector<double>& in,
                     const std::vector<double>& coef) {
   GoldenResult g;
-  g.out.resize(lay.points);
+  g.out.resize(cells.size());
   g.flops = 0;
-  const u32 nbr = stencil_neighbors(kind);
-  for (u32 p = 0; p < lay.points; ++p) {
-    u32 x, y, z;
-    lay.point_coords(p, x, y, z);
+  for (usize p = 0; p < cells.size(); ++p) {
     double acc = 0.0;
-    for (u32 k = 0; k < nbr; ++k) {
-      i32 dx, dy, dz;
-      neighbor(kind, k, dx, dy, dz);
-      const double v = in[lay.lin(x + dx, y + dy, z + dz)];
+    for (usize k = 0; k < nbr_off.size(); ++k) {
+      const double v = in[static_cast<usize>(cells[p] + nbr_off[k])];
       acc = std::fma(v, coef[k], acc); // k=0: fma(v,c,0) == fmul, bit-exact
       ++g.flops;
     }
@@ -152,27 +166,21 @@ GoldenResult golden(StencilKind kind, const Layout& lay,
 
 /// Build the even/odd 16-bit gather index arrays: per group, k-major, two
 /// entries per k per array (points {0,2} even, {1,3} odd).
-void build_index_arrays(StencilKind kind, const Layout& lay,
+void build_index_arrays(const std::vector<i32>& cells,
+                        const std::vector<i32>& nbr_off,
                         std::vector<u16>& even, std::vector<u16>& odd) {
-  const u32 nbr = stencil_neighbors(kind);
-  even.clear();
-  odd.clear();
-  even.reserve(lay.groups * nbr * 2);
-  odd.reserve(lay.groups * nbr * 2);
-  for (u32 g = 0; g < lay.groups; ++g) {
-    const u32 p0 = g * 4;
-    for (u32 k = 0; k < nbr; ++k) {
-      i32 dx, dy, dz;
-      neighbor(kind, k, dx, dy, dz);
-      auto woff = [&](u32 p) {
-        u32 x, y, z;
-        lay.point_coords(p, x, y, z);
-        return static_cast<u16>(lay.lin(x + dx, y + dy, z + dz));
-      };
-      even.push_back(woff(p0 + 0));
-      even.push_back(woff(p0 + 2));
-      odd.push_back(woff(p0 + 1));
-      odd.push_back(woff(p0 + 3));
+  const usize entries = cells.size() / 4 * nbr_off.size() * 2;
+  even.resize(entries);
+  odd.resize(entries);
+  usize e = 0;
+  for (usize p0 = 0; p0 < cells.size(); p0 += 4) {
+    for (const i32 off : nbr_off) {
+      const auto at = [&](usize p) { return static_cast<u16>(cells[p] + off); };
+      even[e] = at(p0 + 0);
+      even[e + 1] = at(p0 + 2);
+      odd[e] = at(p0 + 1);
+      odd[e + 1] = at(p0 + 3);
+      e += 2;
     }
   }
 }
@@ -291,8 +299,10 @@ BuiltKernel build_stencil(StencilKind kind, StencilVariant variant,
   std::vector<double> in(cells);
   for (u32 i = 0; i < cells; ++i) in[i] = input_value(i);
   const std::vector<double> coef = make_coefficients(kind);
+  const std::vector<i32> interior = interior_cells(lay);
+  const std::vector<i32> nbr_off = neighbor_offsets(kind, lay);
   std::vector<u16> idx_even, idx_odd;
-  build_index_arrays(kind, lay, idx_even, idx_odd);
+  build_index_arrays(interior, nbr_off, idx_even, idx_odd);
 
   lay.in_base = b.data_f64(in);
   lay.out_base = b.data_zero(lay.points * 8);
@@ -316,7 +326,7 @@ BuiltKernel build_stencil(StencilKind kind, StencilVariant variant,
                  {"omega", omega_addr, 8},
                  {"idx_even", lay.idx_even_base, idx_even.size() * 2ull},
                  {"idx_odd", lay.idx_odd_base, idx_odd.size() * 2ull}};
-  GoldenResult g = golden(kind, lay, in, coef);
+  GoldenResult g = golden(kind, interior, nbr_off, in, coef);
   out.expected = std::move(g.out);
   out.useful_flops = g.flops;
 

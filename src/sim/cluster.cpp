@@ -48,7 +48,7 @@ Cluster::Cluster(std::vector<Program> programs, Memory& memory,
 
 bool Cluster::fully_halted() const {
   for (const auto& core : cores_) {
-    if (!core->fully_halted()) return false;
+    if (!core->halted()) return false;
   }
   return true;
 }
@@ -105,7 +105,7 @@ void Cluster::tick() {
   for (u32 k = 0; k <= n; ++k) {
     if (slot < n) {
       cores_[slot]->tick(cycle_);
-    } else {
+    } else if (!dma_.idle()) {
       dma_.tick(cycle_, tcdm_);
     }
     slot = slot == n ? 0 : slot + 1;
@@ -128,7 +128,7 @@ void Cluster::tick() {
     Addr pc = cores_[0]->int_core().pc();
     halt_hart_ = 0;
     for (u32 h = 0; h < num_cores(); ++h) {
-      if (!cores_[h]->fully_halted()) {
+      if (!cores_[h]->halted()) {
         pc = cores_[h]->int_core().pc();
         halt_hart_ = static_cast<i32>(h);
         break;
@@ -152,7 +152,7 @@ void Cluster::tick() {
       error_ = n == 1 ? cores_[h]->error()
                       : "hart " + std::to_string(h) + ": " + cores_[h]->error();
       halt_hart_ = static_cast<i32>(h);
-      halt_pc_ = static_cast<i64>(cores_[h]->int_core().pc());
+      halt_pc_ = static_cast<i64>(cores_[h]->error_pc());
       // A watchdog deadlock found in this same tick keeps its kind.
       if (failure_kind_ == FailureKind::kNone) {
         failure_kind_ = cores_[h]->failure_kind();

@@ -86,6 +86,7 @@ class Cluster {
   void tick();
   /// Apply every fault of cfg_.faults due this cycle (see sim/fault_plan.hpp).
   void apply_faults();
+  /// Every core has fully halted (read from each core's halt cycle).
   [[nodiscard]] bool fully_halted() const;
 
   SimConfig cfg_;

@@ -8,14 +8,11 @@ Core::Core(Program program, Memory& memory, Tcdm& tcdm,
       mem_(memory),
       tcdm_(tcdm),
       cfg_(config),
-      hartid_(hartid) {
+      hartid_(hartid),
+      fp_(cfg_, mem_, tcdm_, perf_, hartid_),
+      core_(prog_, mem_, tcdm_, cfg_, perf_, fp_, hartid_, dma) {
   prog_.ensure_predecoded();
-  fp_ = std::make_unique<FpSubsystem>(cfg_, mem_, tcdm_, perf_, hartid_);
-  core_ = std::make_unique<IntCore>(prog_, mem_, tcdm_, cfg_, perf_, *fp_,
-                                    hartid_, dma);
-  fp_->set_int_wb_sink([this](const IntWriteback& wb) {
-    core_->schedule_write(wb.rd, wb.value, wb.ready_at);
-  });
+  fp_.set_int_wb_sink(&core_);
 }
 
 void Core::load_image() {
@@ -24,12 +21,12 @@ void Core::load_image() {
 
 void Core::tick(Cycle now) {
   if (halted_at_ != 0) return; // drained; freeze per-core counters
-  fp_->begin_cycle(now);
+  fp_.begin_cycle(now);
   CorePort port;
 
-  core_->commit_pending(now);
-  fp_->tick(now, port);
-  core_->tick(now, port);
+  core_.commit_pending(now);
+  fp_.tick(now, port);
+  core_.tick(now, port);
 
   // SSR streamers fetch last: the core's LSU has bank priority within the
   // cycle; the three streamer ports rotate round-robin among themselves.
@@ -38,7 +35,7 @@ void Core::tick(Cycle now) {
       TcdmPortId::kSsr0, TcdmPortId::kSsr1, TcdmPortId::kSsr2};
   u32 i = ssr_rr_;
   for (u32 k = 0; k < ssr::kNumSsrs; ++k) {
-    ssr::Streamer& s = fp_->streamer(i);
+    ssr::Streamer& s = fp_.streamer(i);
     if (s.armed()) {
       s.tick_fetch(now, tcdm_, mem_, Tcdm::requester_id(hartid_, kSsrPorts[i]));
     }
@@ -52,9 +49,9 @@ void Core::tick(Cycle now) {
 
 ArchState Core::arch_state() const {
   ArchState s;
-  s.pc = core_->pc();
-  for (u8 r = 0; r < isa::kNumIntRegs; ++r) s.x[r] = core_->regs()[r];
-  s.f = fp_->fregs();
+  s.pc = core_.pc();
+  for (u8 r = 0; r < isa::kNumIntRegs; ++r) s.x[r] = core_.regs()[r];
+  s.f = fp_.fregs();
   return s;
 }
 

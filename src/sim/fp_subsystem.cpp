@@ -1,13 +1,17 @@
 #include "sim/fp_subsystem.hpp"
 
+#include <sstream>
+
 #include "isa/disasm.hpp"
 #include "iss/exec_semantics.hpp"
+#include "sim/int_core.hpp"
 
 namespace sch::sim {
 
-using isa::ExecClass;
+using isa::ExecHandler;
 using isa::Instr;
 using isa::Mnemonic;
+using isa::PredecodedInstr;
 using isa::RegClass;
 
 FpSubsystem::FpSubsystem(const SimConfig& cfg, Memory& mem, Tcdm& tcdm,
@@ -24,7 +28,7 @@ FpSubsystem::FpSubsystem(const SimConfig& cfg, Memory& mem, Tcdm& tcdm,
                  ssr::Streamer(cfg.ssr)} {}
 
 bool FpSubsystem::quiescent() const {
-  if (!seq_.idle() || latch_.has_value() || !pipe_.empty() || div_.busy ||
+  if (!seq_.idle() || latch_.full || !pipe_.empty() || div_.busy ||
       lsu_.busy) {
     return false;
   }
@@ -32,6 +36,16 @@ bool FpSubsystem::quiescent() const {
     if (s.dir() == ssr::StreamDir::kWrite && !s.idle()) return false;
   }
   return true;
+}
+
+void FpSubsystem::fail(const std::string& message, Addr pc,
+                       FailureKind kind) {
+  if (!error_.empty()) return;
+  std::ostringstream os;
+  os << "pc=0x" << std::hex << pc << std::dec << ": " << message;
+  error_ = os.str();
+  failure_kind_ = kind;
+  error_pc_ = pc;
 }
 
 void FpSubsystem::set_chain_mask(u32 mask) {
@@ -82,156 +96,79 @@ u32 FpSubsystem::cfg_read(i32 index) const {
 void FpSubsystem::begin_cycle(Cycle now) {
   chain_.begin_cycle();
   for (ssr::Streamer& s : streamers_) s.begin_cycle(now);
-  last_issue_.reset();
+  last_issue_ = nullptr;
   last_stall_ = "";
 }
 
-bool FpSubsystem::src_ready(u8 reg) {
-  switch (src_kind_[reg]) {
-    case SrcKind::kSsrRead:
-      if (!streamers_[reg].can_pop()) {
-        ++perf_.stall_ssr_empty;
-        last_stall_ = "ssr-empty";
-        return false;
-      }
-      return true;
-    case SrcKind::kSsrWrite:
-      fail("read of SSR register " + std::string(isa::fp_reg_name(reg)) +
-           " armed as a write stream");
-      return false;
-    case SrcKind::kChain:
-      if (!chain_.can_pop(reg)) {
-        ++perf_.stall_chain_empty;
-        last_stall_ = "chain-empty";
-        return false;
-      }
-      return true;
-    case SrcKind::kRf:
-      if (busy_f_[reg] != 0) {
-        ++perf_.stall_fp_raw;
-        last_stall_ = "raw";
-        return false;
-      }
-      return true;
-  }
-  return false;
+void FpSubsystem::fail_stream_direction(u8 reg, bool read, Addr pc) {
+  const std::string name(isa::fp_reg_name(reg));
+  fail(read ? "read of SSR register " + name + " armed as a write stream"
+            : "write to SSR register " + name + " armed as a read stream",
+       pc);
 }
 
-u64 FpSubsystem::read_src(u8 reg) {
-  switch (src_kind_[reg]) {
-    case SrcKind::kSsrRead:
-      return streamers_[reg].pop();
-    case SrcKind::kChain:
-      return chain_.pop(reg);
-    case SrcKind::kRf:
-      ++perf_.rf_fp_reads;
-      return fregs_[reg];
-    case SrcKind::kSsrWrite: // src_ready() failed the run first
-      break;
-  }
-  return 0;
-}
-
-std::optional<DestKind> FpSubsystem::resolve_dest(u8 rd) {
-  switch (src_kind_[rd]) {
-    case SrcKind::kSsrWrite:
-      return DestKind::kSsrWrite;
-    case SrcKind::kSsrRead:
-      fail("write to SSR register " + std::string(isa::fp_reg_name(rd)) +
-           " armed as a read stream");
-      return std::nullopt;
-    case SrcKind::kChain:
-      return DestKind::kChain; // no WAW for chained regs
-    case SrcKind::kRf:
-      break;
-  }
-  if (busy_f_[rd] != 0) {
-    ++perf_.stall_fp_waw;
-    last_stall_ = "waw";
-    return std::nullopt;
-  }
-  return DestKind::kFpReg;
-}
-
-void FpSubsystem::fill_compute(const FpOp& op, [[maybe_unused]] Cycle now) {
-  const Instr& in = op.in;
-  const isa::MnemonicInfo& mi = op.meta();
-  const bool is_div = mi.exec == ExecClass::kFpDiv || mi.exec == ExecClass::kFpSqrt;
+void FpSubsystem::fill_compute(const FpOp& op) {
+  const Instr& in = *op.in;
+  const PredecodedInstr& pre = *op.pre;
+  const bool is_div =
+      pre.handler == ExecHandler::kFpDiv || pre.handler == ExecHandler::kFpSqrt;
   if (is_div && div_.busy) {
     ++perf_.stall_fpu_busy;
     last_stall_ = "div-busy";
     return;
   }
 
-  // Gather the *unique* FP source registers: an instruction naming the same
-  // stream/chain register in several operand slots pops it once and feeds
-  // all slots (fmv.d/fabs.d from a stream are idiomatic; Snitch semantics).
-  std::array<u8, 3> uniq{};
-  u32 n_uniq = 0;
-  auto add_src = [&](u8 reg) {
-    for (u32 i = 0; i < n_uniq; ++i) {
-      if (uniq[i] == reg) return;
-    }
-    uniq[n_uniq++] = reg;
-  };
-  if (mi.rs1 == RegClass::kFp) add_src(in.rs1);
-  if (mi.rs2 == RegClass::kFp) add_src(in.rs2);
-  if (mi.rs3 == RegClass::kFp) add_src(in.rs3);
-  for (u32 i = 0; i < n_uniq; ++i) {
-    if (!src_ready(uniq[i])) return;
+  // Every distinct source must be ready before any is popped (the
+  // predecoded plan lists each stream/chain register once).
+  for (u32 i = 0; i < pre.n_fp_srcs; ++i) {
+    if (!src_ready(pre.fp_srcs[i], op)) return;
   }
 
   DestKind dest = DestKind::kIntReg;
-  if (mi.rd == RegClass::kFp) {
-    const auto d = resolve_dest(in.rd);
+  if (pre.mi->rd == RegClass::kFp) {
+    const auto d = resolve_dest(in.rd, op);
     if (!d) return;
     dest = *d;
   }
 
-  // Commit: pop/read each unique operand once and fan the value out.
-  std::array<u64, 3> uniq_val{};
-  for (u32 i = 0; i < n_uniq; ++i) uniq_val[i] = read_src(uniq[i]);
-  auto val_of = [&](u8 reg) -> u64 {
-    for (u32 i = 0; i < n_uniq; ++i) {
-      if (uniq[i] == reg) return uniq_val[i];
-    }
-    return 0;
+  // Commit: pop/read each distinct source once and fan the value out.
+  u64 src_val[3] = {};
+  for (u32 i = 0; i < pre.n_fp_srcs; ++i) src_val[i] = read_src(pre.fp_srcs[i]);
+  const auto operand = [&](u32 slot) -> u64 {
+    return pre.fp_slot[slot] == isa::kNoFpSlot ? 0 : src_val[pre.fp_slot[slot]];
   };
-  u64 a = 0, b = 0, c = 0;
-  if (mi.rs1 == RegClass::kFp) a = val_of(in.rs1);
-  if (mi.rs2 == RegClass::kFp) b = val_of(in.rs2);
-  if (mi.rs3 == RegClass::kFp) c = val_of(in.rs3);
 
   u64 result = 0;
-  switch (mi.exec) {
-    case ExecClass::kFpMac:
-    case ExecClass::kFpDiv:
-    case ExecClass::kFpSqrt:
-      result = exec::fp_compute(in.mn, a, b, c);
+  switch (pre.handler) {
+    case ExecHandler::kFpMac:
+    case ExecHandler::kFpDiv:
+    case ExecHandler::kFpSqrt:
+      result = exec::fp_compute(in.mn, operand(0), operand(1), operand(2));
       break;
-    case ExecClass::kFpCmp:
-    case ExecClass::kFpCvtF2I:
-      result = exec::fp_to_int(in.mn, a, b);
+    case ExecHandler::kFpCmp:
+    case ExecHandler::kFpCvtF2I:
+      result = exec::fp_to_int(in.mn, operand(0), operand(1));
       break;
-    case ExecClass::kFpCvtI2F:
+    case ExecHandler::kFpCvtI2F:
       result = exec::int_to_fp(in.mn, op.int_operand);
       break;
     default:
-      fail("fill_compute: unexpected exec class");
+      fail("fill_compute: unexpected exec class", op.pc);
       return;
   }
 
-  FpuSlot slot;
+  FpuSlot& slot = latch_.slot;
   slot.busy = true;
   slot.mn = in.mn;
   slot.rd = in.rd;
   slot.dest = dest;
   slot.result = result;
   slot.seq = ++issue_seq_;
+  latch_.to_div = is_div;
+  latch_.full = true;
   if (dest == DestKind::kFpReg) ++busy_f_[in.rd];
 
-  latch_ = LatchEntry{slot, is_div ? ExecClass::kFpDiv : ExecClass::kFpMac};
-  note_issue(in);
+  last_issue_ = op.in;
   seq_.pop_front();
   ++perf_.fp_instrs;
   if (is_div) {
@@ -242,18 +179,18 @@ void FpSubsystem::fill_compute(const FpOp& op, [[maybe_unused]] Cycle now) {
 }
 
 void FpSubsystem::fill_load(const FpOp& op, Cycle now, CorePort& port) {
-  const Instr& in = op.in;
-  const isa::MnemonicInfo& mi = op.meta();
+  const Instr& in = *op.in;
+  const u8 bytes = op.pre->mem_bytes;
   if (lsu_.busy) {
     ++perf_.stall_fp_lsu;
     last_stall_ = "lsu-busy";
     return;
   }
-  const auto d = resolve_dest(in.rd);
+  const auto d = resolve_dest(in.rd, op);
   if (!d) return;
   const Addr ea = op.int_operand;
-  if (!mem_.valid(ea, mi.mem_bytes)) {
-    fail("fp load from unmapped address", FailureKind::kBusError);
+  if (!mem_.valid(ea, bytes)) {
+    fail("fp load from unmapped address", op.pc, FailureKind::kBusError);
     return;
   }
   Cycle ready_at;
@@ -273,26 +210,26 @@ void FpSubsystem::fill_load(const FpOp& op, Cycle now, CorePort& port) {
   } else {
     ready_at = now + cfg_.main_mem_latency;
   }
-  const u64 raw = mem_.load(ea, mi.mem_bytes);
+  const u64 raw = mem_.load(ea, bytes);
   lsu_.busy = true;
   lsu_.rd = in.rd;
   lsu_.dest = *d;
-  lsu_.value = mi.mem_bytes == 4 ? exec::box32(static_cast<u32>(raw)) : raw;
+  lsu_.value = bytes == 4 ? exec::box32(static_cast<u32>(raw)) : raw;
   lsu_.ready_at = ready_at;
   if (*d == DestKind::kFpReg) ++busy_f_[in.rd];
-  note_issue(in);
+  last_issue_ = op.in;
   seq_.pop_front();
   ++perf_.fp_instrs;
   ++perf_.fp_loads;
 }
 
-void FpSubsystem::fill_store(const FpOp& op, Cycle now, CorePort& port) {
-  const Instr& in = op.in;
-  const isa::MnemonicInfo& mi = op.meta();
-  if (!src_ready(in.rs2)) return;
+void FpSubsystem::fill_store(const FpOp& op, CorePort& port) {
+  const Instr& in = *op.in;
+  const u8 bytes = op.pre->mem_bytes;
+  if (!src_ready(in.rs2, op)) return;
   const Addr ea = op.int_operand;
-  if (!mem_.valid(ea, mi.mem_bytes)) {
-    fail("fp store to unmapped address", FailureKind::kBusError);
+  if (!mem_.valid(ea, bytes)) {
+    fail("fp store to unmapped address", op.pc, FailureKind::kBusError);
     return;
   }
   if (Memory::in_tcdm(ea)) {
@@ -309,43 +246,43 @@ void FpSubsystem::fill_store(const FpOp& op, Cycle now, CorePort& port) {
     port.used = true;
   }
   const u64 v = read_src(in.rs2);
-  mem_.store(ea, mi.mem_bytes == 4 ? exec::unbox32(v) : v, mi.mem_bytes);
-  note_issue(in);
+  mem_.store(ea, bytes == 4 ? exec::unbox32(v) : v, bytes);
+  last_issue_ = op.in;
   seq_.pop_front();
   ++perf_.fp_instrs;
   ++perf_.fp_stores;
-  (void)now;
 }
 
 void FpSubsystem::try_fill_latch(Cycle now, CorePort& port) {
-  if (latch_.has_value()) return;
+  if (latch_.full) return;
   const FpOp* op = seq_.peek();
   if (seq_.has_error()) {
-    fail(seq_.error());
+    fail(seq_.error(), seq_.error_pc());
     return;
   }
   if (op == nullptr) {
     ++perf_.fp_queue_empty;
     return;
   }
-  switch (op->meta().exec) {
-    case ExecClass::kFpMac:
-    case ExecClass::kFpDiv:
-    case ExecClass::kFpSqrt:
-    case ExecClass::kFpCmp:
-    case ExecClass::kFpCvtF2I:
-    case ExecClass::kFpCvtI2F:
-      fill_compute(*op, now);
+  switch (op->pre->handler) {
+    case ExecHandler::kFpMac:
+    case ExecHandler::kFpDiv:
+    case ExecHandler::kFpSqrt:
+    case ExecHandler::kFpCmp:
+    case ExecHandler::kFpCvtF2I:
+    case ExecHandler::kFpCvtI2F:
+      fill_compute(*op);
       return;
-    case ExecClass::kFpLoad:
+    case ExecHandler::kFpLoad:
       fill_load(*op, now, port);
       return;
-    case ExecClass::kFpStore:
-      fill_store(*op, now, port);
+    case ExecHandler::kFpStore:
+      fill_store(*op, port);
       return;
     default:
       fail("non-FP instruction reached the FP issue stage: " +
-           isa::disassemble(op->in));
+               isa::disassemble(*op->in),
+           op->pc);
   }
 }
 
@@ -372,7 +309,9 @@ bool FpSubsystem::try_writeback(const FpuSlot& slot, Cycle now) {
       streamers_[slot.rd].push(slot.result);
       return true;
     case DestKind::kIntReg:
-      if (int_wb_) int_wb_({slot.rd, static_cast<u32>(slot.result), now + 1});
+      if (int_wb_ != nullptr) {
+        int_wb_->schedule_write(slot.rd, static_cast<u32>(slot.result), now + 1);
+      }
       return true;
     case DestKind::kNone:
       return true;
@@ -391,16 +330,16 @@ void FpSubsystem::tick_lsu(Cycle now) {
 }
 
 void FpSubsystem::drain_latch(Cycle now) {
-  if (!latch_.has_value()) return;
-  if (latch_->unit == ExecClass::kFpDiv) {
+  if (!latch_.full) return;
+  if (latch_.to_div) {
     if (div_.busy) return;
     div_.busy = true;
-    div_.slot = latch_->slot;
-    const bool is_sqrt = latch_->slot.mn == Mnemonic::kFsqrtD ||
-                         latch_->slot.mn == Mnemonic::kFsqrtS;
+    div_.slot = latch_.slot;
+    const bool is_sqrt = latch_.slot.mn == Mnemonic::kFsqrtD ||
+                         latch_.slot.mn == Mnemonic::kFsqrtS;
     div_.done_at = now + (is_sqrt ? cfg_.fsqrt_latency : cfg_.fdiv_latency);
     ++perf_.fpu_ops;
-    latch_.reset();
+    latch_.full = false;
     return;
   }
   if (!pipe_.stage0_free()) {
@@ -408,9 +347,9 @@ void FpSubsystem::drain_latch(Cycle now) {
     ++perf_.stall_fpu_busy;
     return;
   }
-  pipe_.insert(latch_->slot);
+  pipe_.insert(latch_.slot);
   ++perf_.fpu_ops;
-  latch_.reset();
+  latch_.full = false;
 }
 
 void FpSubsystem::tick(Cycle now, CorePort& port) {

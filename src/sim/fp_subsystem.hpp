@@ -11,7 +11,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -34,12 +33,7 @@ struct CorePort {
   bool used = false;
 };
 
-/// Writeback from the FP domain into the integer register file.
-struct IntWriteback {
-  u8 rd;
-  u32 value;
-  Cycle ready_at;
-};
+class IntCore;
 
 class FpSubsystem {
  public:
@@ -48,10 +42,9 @@ class FpSubsystem {
   FpSubsystem(const SimConfig& cfg, Memory& mem, Tcdm& tcdm,
               PerfCounters& perf, u32 hartid = 0);
 
-  /// Wire the channel for FP->integer writebacks (compares, conversions).
-  void set_int_wb_sink(std::function<void(const IntWriteback&)> sink) {
-    int_wb_ = std::move(sink);
-  }
+  /// Wire the integer core that receives FP->integer writebacks (compares,
+  /// conversions) through IntCore::schedule_write.
+  void set_int_wb_sink(IntCore* core) { int_wb_ = core; }
 
   // --- integer-core interface ---
   [[nodiscard]] bool offload_ready() const { return !seq_.queue_full(); }
@@ -91,6 +84,9 @@ class FpSubsystem {
   [[nodiscard]] const std::string& error() const { return error_; }
   /// Kind of the failure behind error() (kNone while there is none).
   [[nodiscard]] FailureKind failure_kind() const { return failure_kind_; }
+  /// pc of the op behind error(): the faulting op's offload pc, or the frep
+  /// marker's for a sequencer error.
+  [[nodiscard]] Addr error_pc() const { return error_pc_; }
 
   // --- observability ---
   [[nodiscard]] const std::array<u64, isa::kNumFpRegs>& fregs() const { return fregs_; }
@@ -100,10 +96,9 @@ class FpSubsystem {
   [[nodiscard]] chain::ChainUnit& chain_mut() { return chain_; }
   [[nodiscard]] const FpuPipeline& pipeline() const { return pipe_; }
   [[nodiscard]] const Sequencer& sequencer() const { return seq_; }
-  /// The op issued this cycle, if any (api::TraceObserver renders it).
-  [[nodiscard]] const std::optional<isa::Instr>& last_issue() const {
-    return last_issue_;
-  }
+  /// The op issued this cycle, or null (api::TraceObserver renders it).
+  /// Points into the core's Program: recording it costs one store.
+  [[nodiscard]] const isa::Instr* last_issue() const { return last_issue_; }
   /// Stall cause tag of this cycle ("" if none). Stored as a pointer to a
   /// string literal so the hot loop never touches a std::string.
   [[nodiscard]] const char* last_stall() const { return last_stall_; }
@@ -113,9 +108,11 @@ class FpSubsystem {
   /// stream directions and chain mask.
   enum class SrcKind : u8 { kRf, kChain, kSsrRead, kSsrWrite };
 
-  struct LatchEntry {
+  /// One-entry issue latch (the FPU input register).
+  struct Latch {
+    bool full = false;
+    bool to_div = false;  // the iterative div/sqrt unit, else the pipeline
     FpuSlot slot;
-    isa::ExecClass unit;
   };
 
   struct LsuPending {
@@ -126,31 +123,95 @@ class FpSubsystem {
     Cycle ready_at = 0;
   };
 
-  void fail(const std::string& message,
-            FailureKind kind = FailureKind::kValidation) {
-    if (!error_.empty()) return;
-    error_ = message;
-    failure_kind_ = kind;
-  }
-  /// Record this cycle's issued op. A copy: the caller pops its sequencer
-  /// slot right after.
-  void note_issue(const isa::Instr& in) { last_issue_ = in; }
+  /// Fail the run at `pc` (the faulting op's): the message gets the same
+  /// "pc=0x...: " prefix IntCore::fail writes.
+  void fail(const std::string& message, Addr pc,
+            FailureKind kind = FailureKind::kValidation);
 
   /// Recompute src_kind_. Called by every write that changes an input:
   /// set_ssr_enable, set_chain_mask and the arming branch of cfg_write.
   void update_src_kinds();
+  /// Fail a read of a register armed as a write stream (`read`) or a write
+  /// to one armed as a read stream, at `pc`.
+  void fail_stream_direction(u8 reg, bool read, Addr pc);
+
+  // The operand helpers below run several times per issued op; they are
+  // defined here so they inline into the fill functions, with their one
+  // failure path out of line.
+
   /// True when the source operand can be read/popped this cycle; on false,
-  /// bumps the corresponding stall counter.
-  bool src_ready(u8 reg);
+  /// bumps the corresponding stall counter (or fails the run at op's pc).
+  bool src_ready(u8 reg, const FpOp& op) {
+    switch (src_kind_[reg]) {
+      case SrcKind::kSsrRead:
+        if (!streamers_[reg].can_pop()) {
+          ++perf_.stall_ssr_empty;
+          last_stall_ = "ssr-empty";
+          return false;
+        }
+        return true;
+      case SrcKind::kSsrWrite:
+        fail_stream_direction(reg, /*read=*/true, op.pc);
+        return false;
+      case SrcKind::kChain:
+        if (!chain_.can_pop(reg)) {
+          ++perf_.stall_chain_empty;
+          last_stall_ = "chain-empty";
+          return false;
+        }
+        return true;
+      case SrcKind::kRf:
+        if (busy_f_[reg] != 0) {
+          ++perf_.stall_fp_raw;
+          last_stall_ = "raw";
+          return false;
+        }
+        return true;
+    }
+    return false;
+  }
+
   /// Read/pop the source operand value (commits SSR/chain pops).
-  u64 read_src(u8 reg);
+  u64 read_src(u8 reg) {
+    switch (src_kind_[reg]) {
+      case SrcKind::kSsrRead:
+        return streamers_[reg].pop();
+      case SrcKind::kChain:
+        return chain_.pop(reg);
+      case SrcKind::kRf:
+        ++perf_.rf_fp_reads;
+        return fregs_[reg];
+      case SrcKind::kSsrWrite: // src_ready() failed the run first
+        break;
+    }
+    return 0;
+  }
+
   /// Resolve the destination kind for an FP-destination instruction.
-  std::optional<DestKind> resolve_dest(u8 rd);
+  std::optional<DestKind> resolve_dest(u8 rd, const FpOp& op) {
+    switch (src_kind_[rd]) {
+      case SrcKind::kSsrWrite:
+        return DestKind::kSsrWrite;
+      case SrcKind::kSsrRead:
+        fail_stream_direction(rd, /*read=*/false, op.pc);
+        return std::nullopt;
+      case SrcKind::kChain:
+        return DestKind::kChain; // no WAW for chained regs
+      case SrcKind::kRf:
+        break;
+    }
+    if (busy_f_[rd] != 0) {
+      ++perf_.stall_fp_waw;
+      last_stall_ = "waw";
+      return std::nullopt;
+    }
+    return DestKind::kFpReg;
+  }
 
   void try_fill_latch(Cycle now, CorePort& port);
-  void fill_compute(const FpOp& op, Cycle now);
+  void fill_compute(const FpOp& op);
   void fill_load(const FpOp& op, Cycle now, CorePort& port);
-  void fill_store(const FpOp& op, Cycle now, CorePort& port);
+  void fill_store(const FpOp& op, CorePort& port);
   /// Attempt writeback of `slot`; returns false when blocked (backpressure).
   bool try_writeback(const FpuSlot& slot, Cycle now);
   void tick_lsu(Cycle now);
@@ -178,13 +239,14 @@ class FpSubsystem {
   std::array<ssr::SsrRawConfig, ssr::kNumSsrs> ssr_cfgs_{};
   std::array<ssr::Streamer, ssr::kNumSsrs> streamers_;
 
-  std::optional<LatchEntry> latch_;
-  std::function<void(const IntWriteback&)> int_wb_;
+  Latch latch_;
+  IntCore* int_wb_ = nullptr;
   std::string error_;
-  std::optional<isa::Instr> last_issue_;
+  const isa::Instr* last_issue_ = nullptr;
   const char* last_stall_ = "";
   u64 issue_seq_ = 0;
   FailureKind failure_kind_ = FailureKind::kNone;
+  Addr error_pc_ = 0;
 };
 
 } // namespace sch::sim

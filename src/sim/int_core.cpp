@@ -89,6 +89,13 @@ void IntCore::csr_apply(u32 addr, u32 value) {
 
 void IntCore::exec_offload(const Instr& in, const PredecodedInstr& pre,
                            [[maybe_unused]] Cycle now) {
+  // A malformed frep body fails here with the ISS's diagnostic instead of
+  // wedging the sequencer.
+  if (pre.handler == ExecHandler::kFrep &&
+      (pre.flags & isa::preflag::kFrepBodyOk) == 0) {
+    fail(isa::frep_body_error(prog_.pre, prog_.text_index(pc_)));
+    return;
+  }
   const isa::MnemonicInfo& mi = *pre.mi;
   // Integer operands are captured at offload time.
   const bool needs_rs1 = mi.rs1 == isa::RegClass::kInt;
@@ -108,8 +115,9 @@ void IntCore::exec_offload(const Instr& in, const PredecodedInstr& pre,
   }
 
   FpOp op;
-  op.in = in;
-  op.mi = pre.mi;
+  op.in = &in;
+  op.pre = &pre;
+  op.pc = pc_;
   if (needs_rs1) {
     ++perf_.rf_int_reads;
     const u32 rs1 = read_x(in.rs1);
@@ -639,7 +647,7 @@ const IntCore::Handler
 };
 
 void IntCore::tick(Cycle now, CorePort& port) {
-  last_issue_.reset();
+  last_issue_ = nullptr;
   if (halt_ != HaltReason::kNone) return;
   if (now < div_busy_until_) {
     ++perf_.int_div_busy;
@@ -656,11 +664,11 @@ void IntCore::tick(Cycle now, CorePort& port) {
     return;
   }
   const PredecodedInstr& pre = prog_.pre[idx];
+  const Instr& in = prog_.instrs[idx];
   if (pre.handler == ExecHandler::kInvalid) {
-    fail("illegal instruction encoding");
+    fail(isa::illegal_encoding_message(in.raw));
     return;
   }
-  const Instr& in = prog_.instrs[idx];
   if (pre.fp_domain) {
     exec_offload(in, pre, now);
   } else {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <array>
-#include <optional>
 #include <string>
 
 #include "asm/program.hpp"
@@ -54,11 +53,10 @@ class IntCore {
 
   [[nodiscard]] const std::array<u32, isa::kNumIntRegs>& regs() const { return x_; }
   [[nodiscard]] Addr pc() const { return pc_; }
-  /// The instruction issued this cycle, if any, and whether it was offloaded
-  /// to the FP subsystem (api::TraceObserver renders both).
-  [[nodiscard]] const std::optional<isa::Instr>& last_issue() const {
-    return last_issue_;
-  }
+  /// The instruction issued this cycle (null if none) and whether it was
+  /// offloaded to the FP subsystem (api::TraceObserver renders both). The
+  /// pointer is into the core's Program: recording it costs one store.
+  [[nodiscard]] const isa::Instr* last_issue() const { return last_issue_; }
   [[nodiscard]] bool last_offloaded() const { return last_offloaded_; }
 
  private:
@@ -81,7 +79,7 @@ class IntCore {
   }
   [[nodiscard]] bool ready_x(u8 r) const { return !busy_x_[r]; }
   void note_issue(const isa::Instr& in, bool offloaded = false) {
-    last_issue_ = in;
+    last_issue_ = &in;
     last_offloaded_ = offloaded;
   }
 
@@ -148,7 +146,7 @@ class IntCore {
   Cycle div_busy_until_ = 0;
   HaltReason halt_ = HaltReason::kNone;
   std::string error_;
-  std::optional<isa::Instr> last_issue_;
+  const isa::Instr* last_issue_ = nullptr;
   bool last_offloaded_ = false;
   FailureKind failure_kind_ = FailureKind::kNone;
 };

@@ -6,21 +6,21 @@ using isa::Mnemonic;
 
 void Sequencer::start_frep(const FpOp& marker) {
   if (state_ != State::kIdle) {
-    error_ = "nested frep";
+    fail("nested frep", marker.pc);
     return;
   }
-  const u32 body = static_cast<u32>(marker.in.imm);
+  const u32 body = static_cast<u32>(marker.in->imm);
   if (body == 0) {
-    error_ = "frep with empty body";
+    fail("frep with empty body", marker.pc);
     return;
   }
   if (body > buffer_depth_) {
-    error_ = "frep body of " + std::to_string(body) +
-             " instructions exceeds the " + std::to_string(buffer_depth_) +
-             "-entry sequencer buffer";
+    fail("frep body of " + std::to_string(body) + " instructions exceeds the " +
+             std::to_string(buffer_depth_) + "-entry sequencer buffer",
+         marker.pc);
     return;
   }
-  inner_mode_ = marker.in.mn == Mnemonic::kFrepI;
+  inner_mode_ = marker.in->mn == Mnemonic::kFrepI;
   body_len_ = body;
   total_passes_ = marker.int_operand + 1;
   capture_left_ = body;
@@ -36,17 +36,13 @@ const FpOp* Sequencer::peek() {
   if (has_error()) return nullptr;
   if (state_ == State::kReplaying) return &buffer_[replay_idx_];
   // Consume frep markers at the queue head.
-  while (!queue_.empty() && (queue_.front().in.mn == Mnemonic::kFrepO ||
-                             queue_.front().in.mn == Mnemonic::kFrepI)) {
+  while (!queue_.empty() &&
+         queue_.front().pre->handler == isa::ExecHandler::kFrep) {
     const FpOp marker = queue_.pop();
     start_frep(marker);
     if (has_error()) return nullptr;
   }
   if (queue_.empty()) return nullptr;
-  if (state_ == State::kCapturing && !queue_.front().meta().fp_domain) {
-    error_ = "frep body contains a non-FP instruction";
-    return nullptr;
-  }
   return &queue_.front();
 }
 

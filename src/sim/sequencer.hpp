@@ -18,22 +18,20 @@
 #include "common/fixed_queue.hpp"
 #include "common/types.hpp"
 #include "isa/instr.hpp"
+#include "isa/predecode.hpp"
 
 namespace sch::sim {
 
-/// An offloaded FP-domain instruction with captured integer operands.
+/// An offloaded FP-domain instruction with captured integer operands. It
+/// points at its instruction and predecoded record in the offloading
+/// core's Program, which outlives every op in flight.
 struct FpOp {
-  isa::Instr in;
+  const isa::Instr* in = nullptr;
+  const isa::PredecodedInstr* pre = nullptr;
   /// For fld/fsd: effective address; for int->FP ops and frep: rs1 value.
   u32 int_operand = 0;
-  u64 seq = 0;
-  /// Cached metadata, captured from the predecoded stream at offload time
-  /// (may be null for hand-built ops in tests; meta() falls back).
-  const isa::MnemonicInfo* mi = nullptr;
-
-  [[nodiscard]] const isa::MnemonicInfo& meta() const {
-    return mi != nullptr ? *mi : in.meta();
-  }
+  /// Address the op was offloaded from (its failures report it).
+  Addr pc = 0;
 };
 
 class Sequencer {
@@ -77,12 +75,12 @@ class Sequencer {
   [[nodiscard]] bool pending_mem_overlap(u32 addr, u32 bytes,
                                          bool int_is_write) const {
     const auto hazard = [&](const FpOp& op) {
-      const isa::MnemonicInfo& mi = op.meta();
-      const bool is_store = mi.exec == isa::ExecClass::kFpStore;
-      if (mi.exec != isa::ExecClass::kFpLoad && !is_store) return false;
+      const isa::ExecHandler h = op.pre->handler;
+      const bool is_store = h == isa::ExecHandler::kFpStore;
+      if (h != isa::ExecHandler::kFpLoad && !is_store) return false;
       if (!int_is_write && !is_store) return false;  // read vs read
       return op.int_operand < addr + bytes &&
-             addr < op.int_operand + mi.mem_bytes;
+             addr < op.int_operand + op.pre->mem_bytes;
     };
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       if (hazard(queue_.at(i))) return true;
@@ -96,7 +94,9 @@ class Sequencer {
   }
 
   [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] bool has_error() const { return !error_.empty(); }
+  [[nodiscard]] bool has_error() const { return failed_; }
+  /// pc of the frep marker behind error().
+  [[nodiscard]] Addr error_pc() const { return error_pc_; }
 
   struct Stats {
     u64 replayed_ops = 0; // ops issued from the ring buffer (passes 2..N)
@@ -108,6 +108,12 @@ class Sequencer {
   enum class State : u8 { kIdle, kCapturing, kReplaying };
 
   void start_frep(const FpOp& marker);
+  /// Record a malformed-frep error (sticky) against the marker at `pc`.
+  void fail(std::string message, Addr pc) {
+    error_ = std::move(message);
+    error_pc_ = pc;
+    failed_ = true;
+  }
 
   FixedQueue<FpOp> queue_;
   u32 buffer_depth_;
@@ -122,7 +128,9 @@ class Sequencer {
   u32 replay_idx_ = 0;
   u32 inner_rep_ = 0;           // frep.i repetition counter for current instr
 
+  bool failed_ = false;
   std::string error_;
+  Addr error_pc_ = 0;
   Stats stats_;
 };
 

@@ -29,6 +29,7 @@ Streamer::Streamer(const StreamerConfig& config)
 void Streamer::arm(const SsrRawConfig& cfg, Addr ptr, u32 dims, StreamDir dir) {
   cfg_ = cfg;
   dir_ = dir;
+  indirect_ = cfg.indirect();
   // Repetition replays buffered data; the generator runs repeat-free.
   gen_.arm(ptr, dims, cfg.bounds, cfg.strides, 0);
   data_fifo_.clear();
@@ -38,6 +39,7 @@ void Streamer::arm(const SsrRawConfig& cfg, Addr ptr, u32 dims, StreamDir dir) {
 
 void Streamer::disarm() {
   dir_ = StreamDir::kNone;
+  indirect_ = false;
   gen_.reset();
   data_fifo_.clear();
   idx_q_.clear();
@@ -65,10 +67,20 @@ void Streamer::fetch_index_word(Cycle now, Tcdm& tcdm, Memory& mem,
   }
   ++stats_.idx_reads;
   const u32 idx_bytes = 1u << cfg_.idx_size_log2();
-  // Decode every index the fetched word covers (packed-index amortization).
+  const u64 idx_mask = idx_bytes == 8 ? ~u64{0} : (u64{1} << (8 * idx_bytes)) - 1;
+  // Decode every index the fetched word covers (packed-index amortization),
+  // slicing each out of one load of the word. An index that straddles into
+  // the next word, or a word outside the address map, is loaded on its own,
+  // so its bytes and a BusError's address are those of the index itself.
+  const bool word_mapped = mem.valid(word_addr, 8);
+  const u64 word = word_mapped ? mem.load(word_addr, 8) : 0;
   while (!gen_.done() && (gen_.peek() & ~Addr{7}) == word_addr &&
          idx_q_.size() < scfg_.idx_queue_depth) {
-    const u64 idx = mem.load(gen_.peek(), idx_bytes);
+    const Addr idx_addr = gen_.peek();
+    const u32 offset = idx_addr & 7u;
+    const u64 idx = word_mapped && offset + idx_bytes <= 8
+                        ? (word >> (8 * offset)) & idx_mask
+                        : mem.load(idx_addr, idx_bytes);
     const Addr data_addr =
         cfg_.idx_base + static_cast<Addr>(idx << cfg_.idx_shift());
     idx_q_.push(IdxEntry{data_addr, now + 1});
@@ -77,16 +89,16 @@ void Streamer::fetch_index_word(Cycle now, Tcdm& tcdm, Memory& mem,
 }
 
 bool Streamer::data_addr_known(Cycle now) const {
-  if (!cfg_.indirect()) return !gen_.done();
+  if (!indirect_) return !gen_.done();
   return !idx_q_.empty() && idx_q_.front().available_at <= now;
 }
 
 Addr Streamer::next_data_addr() const {
-  return cfg_.indirect() ? idx_q_.front().data_addr : gen_.peek();
+  return indirect_ ? idx_q_.front().data_addr : gen_.peek();
 }
 
 void Streamer::consume_data_addr() {
-  if (cfg_.indirect()) {
+  if (indirect_) {
     idx_q_.pop();
   } else {
     gen_.advance();
@@ -109,8 +121,7 @@ void Streamer::tick_fetch(Cycle now, Tcdm& tcdm, Memory& mem, u32 requester) {
       consume_data_addr();
       return;
     }
-    if (cfg_.indirect() && !gen_.done() &&
-        idx_q_.size() < scfg_.idx_queue_depth) {
+    if (indirect_ && !gen_.done() && idx_q_.size() < scfg_.idx_queue_depth) {
       fetch_index_word(now, tcdm, mem, requester);
     }
     return;
@@ -118,7 +129,7 @@ void Streamer::tick_fetch(Cycle now, Tcdm& tcdm, Memory& mem, u32 requester) {
 
   // Write stream: drain the FIFO head.
   if (write_fifo_.empty()) return;
-  if (cfg_.indirect() && !data_addr_known(now)) {
+  if (indirect_ && !data_addr_known(now)) {
     if (!gen_.done() && idx_q_.size() < scfg_.idx_queue_depth) {
       fetch_index_word(now, tcdm, mem, requester);
     }

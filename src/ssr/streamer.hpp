@@ -110,6 +110,7 @@ class Streamer {
   SsrRawConfig cfg_;
   AddrGen gen_;       // data addresses (affine) or index-array addresses (indirect)
   StreamDir dir_ = StreamDir::kNone;
+  bool indirect_ = false;  // cfg_.indirect(), cached at arm()
 
   // Ring buffers over preallocated storage (hardware queues; the fetch loop
   // runs every cycle and must never allocate).

@@ -443,26 +443,13 @@ class HartAnalyzer {
   void fp_instr(u32 i, State& s, FrepTracker* ft = nullptr) {
     const Instr& in = p_.instrs[i];
     const PredecodedInstr& pr = p_.pre[i];
-    const isa::MnemonicInfo& mi = *pr.mi;
 
-    // Unique FP source registers (an instruction naming one register in
-    // several slots pops it once -- Snitch semantics).
-    std::array<u8, 3> srcs{};
-    u32 nsrc = 0;
-    auto add_src = [&](u8 r) {
-      for (u32 k = 0; k < nsrc; ++k) {
-        if (srcs[k] == r) return;
-      }
-      srcs[nsrc++] = r;
-    };
-    if (mi.rs1 == isa::RegClass::kFp) add_src(in.rs1);
-    if (mi.rs2 == isa::RegClass::kFp) add_src(in.rs2);
-    if (mi.rs3 == isa::RegClass::kFp) add_src(in.rs3);
-
+    // The predecoded plan lists each FP source once (an instruction naming
+    // one register in several slots pops it once -- Snitch semantics).
     bool gathers = false;  // any source is a live indirect read stream
     std::array<bool, 32> popped{};
-    for (u32 k = 0; k < nsrc; ++k) {
-      const u8 r = srcs[k];
+    for (u32 k = 0; k < pr.n_fp_srcs; ++k) {
+      const u8 r = pr.fp_srcs[k];
       if (ssr_live(s) && r < ssr::kNumSsrs && s.ssr[r].dir != Dir::kNone) {
         if (s.ssr[r].dir == Dir::kWrite) {
           emit(FindingKind::kSsrDirectionMismatch, Severity::kError, i,
@@ -718,16 +705,9 @@ class HartAnalyzer {
   void fp_instr_repeat_trace(u32 b, State& s, FrepTracker& ft, u64 reps) {
     const Instr& in = p_.instrs[b];
     const PredecodedInstr& pr = p_.pre[b];
-    const isa::MnemonicInfo& mi = *pr.mi;
     std::array<bool, 32> pops{};
-    if (mi.rs1 == isa::RegClass::kFp && chain_src(s, in.rs1)) {
-      pops[in.rs1] = true;
-    }
-    if (mi.rs2 == isa::RegClass::kFp && chain_src(s, in.rs2)) {
-      pops[in.rs2] = true;
-    }
-    if (mi.rs3 == isa::RegClass::kFp && chain_src(s, in.rs3)) {
-      pops[in.rs3] = true;
+    for (u32 k = 0; k < pr.n_fp_srcs; ++k) {
+      if (chain_src(s, pr.fp_srcs[k])) pops[pr.fp_srcs[k]] = true;
     }
     const bool pushes = isa::writes_fp_rd(in.mn) && chain_dest(s, in.rd);
     for (u32 r = 0; r < 32; ++r) {

@@ -2,7 +2,11 @@
 // buffer-limit rejection, nested-frep rejection, marker consumption.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
 #include "isa/encode.hpp"
+#include "isa/predecode.hpp"
 #include "sim/sequencer.hpp"
 
 namespace sch::sim {
@@ -10,9 +14,14 @@ namespace {
 
 using isa::Mnemonic;
 
+/// An FpOp points at its instruction and predecoded record, as ops from a
+/// core point into its Program; this store keeps them alive.
 FpOp fp_op(isa::Instr in, u32 int_operand = 0) {
+  static std::deque<std::pair<isa::Instr, isa::PredecodedInstr>> program;
+  const auto& [instr, pre] = program.emplace_back(in, isa::predecode(in));
   FpOp op;
-  op.in = in;
+  op.in = &instr;
+  op.pre = &pre;
   op.int_operand = int_operand;
   return op;
 }
@@ -31,7 +40,7 @@ std::vector<Mnemonic> drain(Sequencer& s, usize limit = 100) {
   while (out.size() < limit) {
     auto op = s.front();
     if (!op) break;
-    out.push_back(op->in.mn);
+    out.push_back(op->in->mn);
     s.pop_front();
   }
   return out;

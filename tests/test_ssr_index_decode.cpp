@@ -61,19 +61,23 @@ struct Gather {
 };
 
 /// The gather as a BuiltKernel whose golden output is the selected inputs.
+/// Every multi-byte index has its top byte set (a bias the stream's base
+/// subtracts again), so a decode that drops or shifts a byte misses.
 kernels::BuiltKernel gather_kernel(const Gather& g) {
   const u32 idx_bytes = 1u << g.size_log2;
+  const u32 bias = idx_bytes == 1 ? 0 : 1u << (8 * (idx_bytes - 1));
   const u32 span = static_cast<u32>(std::abs(g.stride)) * (g.n - 1) + idx_bytes;
   std::vector<u8> raw(g.skew + span + 1, 0);
   // A negative stride walks the array down from its last slot.
   const u32 first = g.stride < 0 ? g.skew + span - idx_bytes : g.skew;
   kernels::BuiltKernel k;
   for (u32 e = 0; e < g.n; ++e) {
-    const u32 idx = (e * 7 + 3) % kInputs;
+    const u32 elem = (e * 7 + 3) % kInputs;
+    const u32 idx = bias + elem;
     const u32 off = static_cast<u32>(static_cast<i64>(first) +
                                      static_cast<i64>(e) * g.stride);
     for (u32 i = 0; i < idx_bytes; ++i) raw[off + i] = static_cast<u8>(idx >> (8 * i));
-    k.expected.push_back(input_value(idx));
+    k.expected.push_back(input_value(elem));
   }
   std::vector<u16> packed((raw.size() + 1) / 2, 0);
   for (usize i = 0; i < raw.size(); ++i) {
@@ -87,7 +91,9 @@ kernels::BuiltKernel gather_kernel(const Gather& g) {
   k.out_base = b.data_zero(g.n * 8);
   b.data_align(8);
   const Addr idx_array = b.data_u16(packed);
-  emit_gather(b, idx_array + first, g.stride, g.size_log2, g.n, data, k.out_base);
+  // Data address = base + (idx << 3), wrapping modulo 2^32 like the streams.
+  emit_gather(b, idx_array + first, g.stride, g.size_log2, g.n, data - (bias << 3),
+              k.out_base);
   k.program = b.build();
   k.name = "gather/u" + std::to_string(8 * idx_bytes) + "/stride" +
            std::to_string(g.stride) + "/skew" + std::to_string(g.skew);
