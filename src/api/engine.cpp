@@ -235,8 +235,7 @@ RunReport execute(const RunRequest& request) {
         const std::string who =
             num_cores == 1 ? "ISS" : "ISS hart " + std::to_string(h);
         fail(report, iss.failure_kind(),
-             report.name + ": " + who + " halted abnormally: " +
-                 (iss.error().empty() ? "(no message)" : iss.error()),
+             report.name + ": " + who + " halted abnormally: " + iss.error(),
              static_cast<i32>(h), static_cast<i64>(iss.state().pc));
         break;
       }
@@ -308,8 +307,7 @@ RunReport execute(const RunRequest& request) {
     report.dma.achieved_bytes_per_cycle = ds.achieved_bytes_per_cycle();
     if (!clean_halt(simulator->halt_reason())) {
       fail(report, simulator->failure_kind(),
-           report.name + ": simulator halted abnormally: " +
-               (simulator->error().empty() ? "(no message)" : simulator->error()),
+           report.name + ": simulator halted abnormally: " + simulator->error(),
            simulator->halt_hart(), simulator->halt_pc(),
            static_cast<i64>(simulator->cycles()));
     } else if (built != nullptr) {

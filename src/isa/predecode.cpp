@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "isa/csr.hpp"
+
 namespace sch::isa {
 namespace {
 
@@ -72,6 +74,14 @@ PredecodedInstr predecode(const Instr& in) {
   p.aux = precompute_aux(in, p.handler);
   p.fp_domain = p.mi->fp_domain;
   p.mem_bytes = p.mi->mem_bytes;
+  if (p.mi->rd == RegClass::kInt) p.flags |= preflag::kRdInt;
+  if (p.mi->rs1 == RegClass::kInt) p.flags |= preflag::kRs1Int;
+  if (p.mi->rs2 == RegClass::kInt) p.flags |= preflag::kRs2Int;
+  if (in.mn == Mnemonic::kFence ||
+      (p.handler == ExecHandler::kCsr &&
+       csr::is_stream_csr(static_cast<u32>(p.aux)))) {
+    p.flags |= preflag::kFpBarrier;
+  }
 
   const RegClass classes[3] = {p.mi->rs1, p.mi->rs2, p.mi->rs3};
   const u8 regs[3] = {in.rs1, in.rs2, in.rs3};

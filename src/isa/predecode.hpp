@@ -77,15 +77,24 @@ enum class ExecHandler : u8 {
   }
 }
 
-/// PredecodedInstr::flags bits, resolved by the whole-program superblock
-/// pass (link_superblocks); the per-instruction predecode() cannot see
-/// neighbors and leaves them clear.
+/// PredecodedInstr::flags bits.
 namespace preflag {
 /// frep marker whose body was statically validated (non-empty, inside the
 /// text segment, FP-domain only, no nesting). A clear bit on a kFrep record
 /// means executing it must fail; the engines re-walk the body then to
-/// produce the exact offset-naming diagnostic.
+/// produce the exact offset-naming diagnostic. Set by the whole-program
+/// superblock pass (link_superblocks): predecode() cannot see neighbors.
 inline constexpr u8 kFrepBodyOk = 1u << 0;
+/// The rd / rs1 / rs2 field names an integer register (the row's class is
+/// RegClass::kInt): the cycle engine's scoreboard set, and rs1/rs2 are the
+/// integer register-file reads of one issue. Set by predecode().
+inline constexpr u8 kRdInt = 1u << 1;
+inline constexpr u8 kRs1Int = 1u << 2;
+inline constexpr u8 kRs2Int = 1u << 3;
+/// Issue waits until the FP subsystem is quiescent: fence, and any access
+/// to a stream/chaining CSR (csr::is_stream_csr), so enabling or disabling
+/// SSRs or chaining never races the FPU pipeline. Set by predecode().
+inline constexpr u8 kFpBarrier = 1u << 4;
 } // namespace preflag
 
 /// PredecodedInstr::fp_slot value of an operand slot that is not an FP
@@ -99,7 +108,7 @@ struct PredecodedInstr {
   ExecHandler handler = ExecHandler::kInvalid;
   bool fp_domain = false;
   u8 mem_bytes = 0;
-  /// preflag:: bits (superblock pass).
+  /// preflag:: bits.
   u8 flags = 0;
   /// Handler-specific precomputed immediate: the full upper-immediate value
   /// for lui/auipc (imm << 12), the PC-relative delta for branches/jal, the
@@ -124,6 +133,8 @@ struct PredecodedInstr {
   /// when the slot is not an FP register.
   u8 fp_slot[3] = {kNoFpSlot, kNoFpSlot, kNoFpSlot};
 };
+// The engines walk arrays of these every cycle: keep the record at 32 bytes.
+static_assert(sizeof(PredecodedInstr) == 32);
 
 /// Resolve the execution record for one decoded instruction.
 [[nodiscard]] PredecodedInstr predecode(const Instr& in);
@@ -150,5 +161,9 @@ void link_superblocks(std::vector<PredecodedInstr>& pre);
 /// Both engines' diagnostic for a kInvalid record: "illegal instruction
 /// encoding 0x%08x" of the raw word.
 [[nodiscard]] std::string illegal_encoding_message(u32 word);
+
+/// Both engines' diagnostic for a pc with no instruction of the text
+/// segment behind it (after their "pc=0x...: " prefix).
+inline constexpr const char* kOffTextMessage = "fetch outside the text segment";
 
 } // namespace sch::isa

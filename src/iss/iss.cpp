@@ -39,6 +39,11 @@ void Iss::halt_error(const std::string& message, FailureKind kind) {
   error_ = os.str();
 }
 
+void Iss::halt_off_text() {
+  halt_error(isa::kOffTextMessage);
+  halt_ = HaltReason::kOffText;  // failure_kind(): kValidation
+}
+
 u64 Iss::read_fp(u8 reg) {
   if (ssrs_.maps(reg)) {
     auto v = ssrs_.read(reg, mem_);
@@ -429,7 +434,7 @@ bool Iss::step() {
   if (halt_ != HaltReason::kNone) return false;
   const u32 idx = prog_.text_index(state_.pc);
   if (idx == Program::kNoIndex) {
-    halt_ = HaltReason::kOffText;
+    halt_off_text();
     return false;
   }
   const PredecodedInstr& pre = prog_.pre[idx];
@@ -495,7 +500,7 @@ void Iss::run_burst(u64 stop_at) {
   const u32 n = static_cast<u32>(prog_.instrs.size());
   u32 idx = prog_.text_index(state_.pc);
   if (idx == Program::kNoIndex) {
-    halt_ = HaltReason::kOffText;
+    halt_off_text();
     return;
   }
   u32 run_left;  // instructions until the superblock (or budget) boundary
@@ -521,7 +526,7 @@ dispatch:
   ++idx;                                                  \
   if (--run_left != 0) goto dispatch;                     \
   if (idx >= n) {                                         \
-    halt_ = HaltReason::kOffText;                         \
+    halt_off_text();                                      \
     return;                                               \
   }                                                       \
   goto block_entry;
@@ -563,7 +568,7 @@ L_jal: {
   ++instret_;
   idx = prog_.pre[idx].target_idx;
   if (idx == Program::kNoIndex) {
-    halt_ = HaltReason::kOffText;
+    halt_off_text();
     return;
   }
   goto block_entry;
@@ -577,13 +582,13 @@ L_branch: {
     state_.pc += static_cast<u32>(prog_.pre[idx].aux);
     idx = prog_.pre[idx].target_idx;
     if (idx == Program::kNoIndex) {
-      halt_ = HaltReason::kOffText;
+      halt_off_text();
       return;
     }
   } else {
     state_.pc += 4;
     if (++idx >= n) {
-      halt_ = HaltReason::kOffText;
+      halt_off_text();
       return;
     }
   }
@@ -596,7 +601,7 @@ L_jalr:
   state_.pc += 4;  // h_jalr stored target - 4, mirroring step()
   idx = prog_.text_index(state_.pc);
   if (idx == Program::kNoIndex) {
-    halt_ = HaltReason::kOffText;
+    halt_off_text();
     return;
   }
   goto block_entry;
@@ -608,7 +613,7 @@ L_frep:
   state_.pc += 4;  // exec_frep left pc at (loop exit - 4)
   idx = prog_.text_index(state_.pc);
   if (idx == Program::kNoIndex) {
-    halt_ = HaltReason::kOffText;
+    halt_off_text();
     return;
   }
   goto block_entry;
@@ -655,6 +660,8 @@ HaltReason Iss::run() {
   while (halt_ == HaltReason::kNone) {
     if (instret_ >= cfg_.max_steps) {
       halt_ = HaltReason::kMaxSteps;
+      error_ = "step budget exhausted (" + std::to_string(cfg_.max_steps) +
+               " instructions)";
       break;
     }
     // Wall-clock budget, checked off the hot path (every 8192 steps).

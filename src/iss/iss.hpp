@@ -81,6 +81,8 @@ class Iss {
 
   void halt_error(const std::string& message,
                   FailureKind kind = FailureKind::kValidation);
+  /// Halt with kOffText: the pc names no instruction of the text.
+  void halt_off_text();
 
   /// Operand read honoring SSR mapping and chaining FIFO semantics.
   u64 read_fp(u8 reg);

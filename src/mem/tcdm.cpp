@@ -8,19 +8,12 @@ Tcdm::Tcdm(const TcdmConfig& config, u32 num_requesters)
     : cfg_(config) {
   assert(is_pow2(cfg_.num_banks) && cfg_.num_banks <= TcdmConfig::kMaxBanks);
   assert(num_requesters >= 1);
-  if (!cfg_.fast_arb) bank_busy_.assign(cfg_.num_banks, false);
   stats_.grants_per_port.assign(num_requesters, 0);
   stats_.conflicts_per_port.assign(num_requesters, 0);
   stats_.conflicts_per_bank.assign(cfg_.num_banks, 0);
 }
 
-void Tcdm::begin_cycle() {
-  if (cfg_.fast_arb) {
-    busy_mask_ = 0;
-  } else {
-    bank_busy_.assign(cfg_.num_banks, false);
-  }
-}
+void Tcdm::begin_cycle() { busy_mask_ = 0; }
 
 bool Tcdm::request(u32 requester, Addr addr, bool is_write) {
   assert(requester < num_requesters());
@@ -32,19 +25,13 @@ bool Tcdm::request(u32 requester, Addr addr, bool is_write) {
     return true;
   }
   const u32 bank = bank_of(addr);
-  const bool busy =
-      cfg_.fast_arb ? (busy_mask_ >> bank) & 1 : bool{bank_busy_[bank]};
-  if (busy) {
+  if ((busy_mask_ >> bank) & 1) {
     ++stats_.conflicts;
     ++stats_.conflicts_per_port[requester];
     ++stats_.conflicts_per_bank[bank];
     return false;
   }
-  if (cfg_.fast_arb) {
-    busy_mask_ |= u64{1} << bank;
-  } else {
-    bank_busy_[bank] = true;
-  }
+  busy_mask_ |= u64{1} << bank;
   ++stats_.grants_per_port[requester];
   if (is_write) {
     ++stats_.writes;

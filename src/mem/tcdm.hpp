@@ -29,11 +29,6 @@ struct TcdmConfig {
   static constexpr u32 kMaxBanks = 64;
   /// log2 of the bank word size in bytes (8-byte banks, Snitch-style).
   static constexpr u32 kBankWordLog2 = 3;
-  /// Track per-cycle bank occupancy in a single 64-bit mask instead of a
-  /// bank-indexed vector. Purely a host-speed fast path: grants, conflicts
-  /// and every stat are bit-identical to the vector walk, which is kept as
-  /// the reference the fast-path-equivalence suite pins this path against.
-  bool fast_arb = true;
 };
 
 /// Per-core requester roles in fixed priority order (the LSU wins ties; the
@@ -89,12 +84,7 @@ class Tcdm {
   /// the rest of this cycle; every request to it is denied and counted as a
   /// conflict. Call after begin_cycle(), before the requesters run.
   void force_bank_busy(u32 bank) {
-    if (bank >= cfg_.num_banks) return;
-    if (cfg_.fast_arb) {
-      busy_mask_ |= u64{1} << bank;
-    } else {
-      bank_busy_[bank] = true;
-    }
+    if (bank < cfg_.num_banks) busy_mask_ |= u64{1} << bank;
   }
 
   /// Record an access that bypassed bank arbitration because its address
@@ -125,8 +115,7 @@ class Tcdm {
 
  private:
   TcdmConfig cfg_;
-  u64 busy_mask_ = 0;            // per-cycle occupancy when cfg_.fast_arb,
-  std::vector<bool> bank_busy_;  // else this reference walk
+  u64 busy_mask_ = 0;  // this cycle's bank occupancy, one bit per bank
   TcdmStats stats_;
 };
 

@@ -124,21 +124,11 @@ void Cluster::tick() {
     last_progress_cycle_ = cycle_;
   } else if (cycle_ - last_progress_cycle_ > cfg_.deadlock_cycles) {
     const PerfCounters p = perf();
-    // Report the first still-running core's pc (the wedged one, usually).
-    Addr pc = cores_[0]->int_core().pc();
-    halt_hart_ = 0;
-    for (u32 h = 0; h < num_cores(); ++h) {
-      if (!cores_[h]->halted()) {
-        pc = cores_[h]->int_core().pc();
-        halt_hart_ = static_cast<i32>(h);
-        break;
-      }
-    }
+    blame_first_running_hart();
     failure_kind_ = FailureKind::kDeadlock;
-    halt_pc_ = static_cast<i64>(pc);
     std::ostringstream os;
     os << "deadlock: no instruction retired for " << cfg_.deadlock_cycles
-       << " cycles at cycle " << cycle_ << " (pc=0x" << std::hex << pc
+       << " cycles at cycle " << cycle_ << " (pc=0x" << std::hex << halt_pc_
        << std::dec << ", chain-empty=" << p.stall_chain_empty
        << ", ssr-empty=" << p.stall_ssr_empty
        << ", chain-full=" << p.stall_chain_full << ")";
@@ -162,6 +152,21 @@ void Cluster::tick() {
   }
 }
 
+void Cluster::blame_first_running_hart() {
+  u32 h = 0;
+  while (h < num_cores() && cores_[h]->halted()) ++h;
+  if (h == num_cores()) h = 0;
+  halt_hart_ = static_cast<i32>(h);
+  halt_pc_ = static_cast<i64>(cores_[h]->int_core().pc());
+}
+
+void Cluster::halt_over_budget(std::string message) {
+  halt_ = HaltReason::kMaxSteps;
+  failure_kind_ = FailureKind::kBudgetExceeded;
+  blame_first_running_hart();
+  error_ = std::move(message);
+}
+
 bool Cluster::step() {
   if (halt_ != HaltReason::kNone) return false;
   if (!started_) {
@@ -174,11 +179,9 @@ bool Cluster::step() {
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - wall_start_);
     if (static_cast<u64>(elapsed.count()) > cfg_.max_wall_ms) {
-      halt_ = HaltReason::kMaxSteps;
-      failure_kind_ = FailureKind::kBudgetExceeded;
-      error_ = "wall-clock budget exhausted (" +
-               std::to_string(cfg_.max_wall_ms) + " ms) at cycle " +
-               std::to_string(cycle_);
+      halt_over_budget("wall-clock budget exhausted (" +
+                       std::to_string(cfg_.max_wall_ms) + " ms) at cycle " +
+                       std::to_string(cycle_));
       return false;
     }
   }
@@ -186,15 +189,14 @@ bool Cluster::step() {
   if (halt_ != HaltReason::kNone) return false;
   // The cluster keeps ticking a draining DMA queue after every core has
   // halted, so a final copy-back still commits its bytes.
+  // Every abnormal core halt (a fault, running off the text) is an error
+  // the tick already reported, so a fully halted cluster halted cleanly.
   if (fully_halted() && dma_.idle()) {
     halt_ = cores_[0]->halt_reason();
-    if (halt_ == HaltReason::kOffText) failure_kind_ = FailureKind::kValidation;
     return false;
   }
   if (cycle_ >= cfg_.max_cycles) {
-    halt_ = HaltReason::kMaxSteps;
-    failure_kind_ = FailureKind::kBudgetExceeded;
-    error_ = "cycle budget exhausted";
+    halt_over_budget("cycle budget exhausted");
     return false;
   }
   return true;

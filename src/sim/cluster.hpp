@@ -56,13 +56,15 @@ class Cluster {
 
   // --- structured halt information (a report's failure section) ---
   /// Kind of an abnormal halt: kDeadlock when the progress watchdog fired,
-  /// the faulting core's kind on a core error, kBudgetExceeded for the
-  /// cycle and wall-clock budgets, kValidation when hart 0 ran off its
-  /// text; kNone otherwise.
+  /// the faulting core's kind on a core error (kValidation when a hart ran
+  /// off its text), kBudgetExceeded for the cycle and wall-clock budgets;
+  /// kNone otherwise.
   [[nodiscard]] FailureKind failure_kind() const { return failure_kind_; }
-  /// Faulting hart of an abnormal halt (-1 when unknown / not hart-specific).
+  /// Faulting hart of an abnormal halt: the failing core's, or for a
+  /// deadlock or an exhausted budget the first hart still running (-1 while
+  /// there is none).
   [[nodiscard]] i32 halt_hart() const { return halt_hart_; }
-  /// Faulting pc of an abnormal halt (-1 when unknown).
+  /// That hart's pc (-1 while there is none).
   [[nodiscard]] i64 halt_pc() const { return halt_pc_; }
 
   /// Aggregate counters snapshot: every field summed across cores except
@@ -88,6 +90,11 @@ class Cluster {
   void apply_faults();
   /// Every core has fully halted (read from each core's halt cycle).
   [[nodiscard]] bool fully_halted() const;
+  /// Report the first hart still running (the wedged or spinning one,
+  /// usually; hart 0 when all have halted) as halt_hart/halt_pc.
+  void blame_first_running_hart();
+  /// Halt with kBudgetExceeded and `message`, blaming the first running hart.
+  void halt_over_budget(std::string message);
 
   SimConfig cfg_;
   Memory& mem_;

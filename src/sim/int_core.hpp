@@ -4,10 +4,19 @@
 // fld/fsd, rs1 values for int->FP ops and frep), after which the core moves
 // on -- FP stalls only reach the core through a full offload queue.
 //
-// Issue dispatches through the program's predecoded handler records; delayed
-// register writebacks live in a fixed-capacity array (bounded by one
-// outstanding write per architectural register), so the per-cycle loop is
-// allocation-free.
+// tick() is the one issue path. It checks, in order: the blocking divider,
+// the taken-branch bubble, the fetch, a malformed frep body, the FP barrier
+// (fence and stream/chaining CSR accesses wait for the FP subsystem to go
+// quiet) and the scoreboard, which is one AND of the pending-write mask
+// against the integer fields the ISA row names (isa::preflag::kRdInt,
+// kRs1Int, kRs2Int). An illegal encoding has no flags, so it passes those
+// and its handler fails it. A handler holds only an instruction's
+// semantics, its structural stalls and faults and its instruction-mix
+// counter, and returns whether it issued; on issue tick() charges the
+// register-file reads (the row's integer source fields), int_instrs or
+// offloads, the trace hook and the pc step. Delayed register writebacks
+// live in a fixed-capacity array (bounded by one outstanding write per
+// architectural register), so the per-cycle loop is allocation-free.
 #pragma once
 
 #include <array>
@@ -66,7 +75,9 @@ class IntCore {
     Cycle ready_at;
   };
 
-  using Handler = void (IntCore::*)(const isa::Instr&,
+  /// Executes an instruction whose operands are ready; false when it did
+  /// not issue this cycle (a structural stall, a fault or a halt).
+  using Handler = bool (IntCore::*)(const isa::Instr&,
                                     const isa::PredecodedInstr&, Cycle,
                                     CorePort&);
   static const Handler kHandlers[static_cast<usize>(isa::ExecHandler::kCount)];
@@ -77,53 +88,44 @@ class IntCore {
   void write_x(u8 r, u32 v) {
     if (r != 0) x_[r] = v;
   }
-  [[nodiscard]] bool ready_x(u8 r) const { return !busy_x_[r]; }
-  void note_issue(const isa::Instr& in, bool offloaded = false) {
-    last_issue_ = &in;
-    last_offloaded_ = offloaded;
+  /// Write rd now and count one register-file write.
+  void write_rd(u8 rd, u32 v) {
+    write_x(rd, v);
+    ++perf_.rf_int_writes;
   }
-
-  void exec_offload(const isa::Instr& in, const isa::PredecodedInstr& pre,
-                    Cycle now);
   u32 csr_read(u32 addr, Cycle now) const;
   void csr_apply(u32 addr, u32 value);
+  /// Address check, FP-ordering interlock and TCDM port/bank claim of an
+  /// integer load or store at `ea`; false when it stalls or faults.
+  bool lsu_claim(Addr ea, u8 bytes, bool is_write, CorePort& port);
 
-  // Handler-table targets (one per isa::ExecHandler, specials pre-resolved).
-  void h_unexpected(const isa::Instr&, const isa::PredecodedInstr&, Cycle,
+  // Handler-table targets (one per isa::ExecHandler, specials pre-resolved;
+  // every FP-domain id offloads).
+  bool h_invalid(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool exec_offload(const isa::Instr&, const isa::PredecodedInstr&, Cycle,
                     CorePort&);
-  void h_lui(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_auipc(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_alu_imm(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_alu_reg(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_mul(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_div(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_jal(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_jalr(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_branch(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_load(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_load_s8(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_load_s16(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_store(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_csr(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_ecall(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_ebreak(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_fence(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_scfg_w(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_scfg_r(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_dma_src(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_dma_dst(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_dma_str(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_dma_cpy(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_dma_cpy2d(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-  void h_dma_stat(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
-
-  /// Shared tail of dmcpy/dmcpy2d once operands are read: validate, check
-  /// queue space, issue, and write the transfer id into rd.
-  void dma_issue(const isa::Instr& in, u32 row_bytes, u32 rows);
-
-  /// Shared tail of an integer load once the effective address is accepted.
-  bool load_issue(const isa::Instr& in, const isa::PredecodedInstr& pre,
-                  Cycle now, CorePort& port, Cycle& ready_at, u64& value);
+  bool h_lui(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_auipc(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_alu_imm(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_alu_reg(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_mul(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_div(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_jal(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_jalr(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_branch(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_load(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_store(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_csr(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_ecall(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_ebreak(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_fence(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_scfg_w(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_scfg_r(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_dma_src(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_dma_dst(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_dma_str(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_dma_cpy(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
+  bool h_dma_stat(const isa::Instr&, const isa::PredecodedInstr&, Cycle, CorePort&);
 
   const Program& prog_;
   Memory& mem_;
@@ -137,7 +139,8 @@ class IntCore {
 
   Addr pc_;
   std::array<u32, isa::kNumIntRegs> x_{};
-  std::array<bool, isa::kNumIntRegs> busy_x_{};
+  /// Scoreboard: bit r set while a write to xr is pending (never x0).
+  u32 busy_x_ = 0;
   /// Outstanding delayed writebacks. Bounded by kNumIntRegs: issue stalls on
   /// a busy rd, so at most one write per register is in flight.
   std::array<Pending, isa::kNumIntRegs> pending_{};

@@ -1,19 +1,16 @@
 #include "sim/sequencer.hpp"
 
+#include <cassert>
+
 namespace sch::sim {
 
 using isa::Mnemonic;
 
 void Sequencer::start_frep(const FpOp& marker) {
-  if (state_ != State::kIdle) {
-    fail("nested frep", marker.pc);
-    return;
-  }
+  // The integer core offloads only markers whose body predecode validated
+  // (isa::preflag::kFrepBodyOk): non-empty, FP-domain only, so no nesting.
   const u32 body = static_cast<u32>(marker.in->imm);
-  if (body == 0) {
-    fail("frep with empty body", marker.pc);
-    return;
-  }
+  assert(state_ == State::kIdle && body != 0);
   if (body > buffer_depth_) {
     fail("frep body of " + std::to_string(body) + " instructions exceeds the " +
              std::to_string(buffer_depth_) + "-entry sequencer buffer",

@@ -47,8 +47,8 @@ class Sequencer {
 
   /// Next instruction for the FP issue stage (replay takes priority),
   /// consuming frep markers on the way. nullptr when nothing is available.
-  /// Sets `error` (sticky) when a frep body is malformed. The pointer is
-  /// valid until the next push/pop_front.
+  /// Sets `error` (sticky) when a frep body exceeds the buffer. The pointer
+  /// is valid until the next push/pop_front.
   const FpOp* peek();
 
   /// Copying convenience wrapper around peek() (tests).
@@ -108,7 +108,7 @@ class Sequencer {
   enum class State : u8 { kIdle, kCapturing, kReplaying };
 
   void start_frep(const FpOp& marker);
-  /// Record a malformed-frep error (sticky) against the marker at `pc`.
+  /// Record a frep error (sticky) against the marker at `pc`.
   void fail(std::string message, Addr pc) {
     error_ = std::move(message);
     error_pc_ = pc;

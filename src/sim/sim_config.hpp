@@ -157,7 +157,6 @@ inline constexpr SimField kSimFields[] = {
     SCH_SIM_FIELD("strict_handoff", strict_chain_handoff, kBool, 0, 1),
     SCH_SIM_FIELD("cores", num_cores, kInt, 1, SimConfig::kMaxCores),
     SCH_SIM_FIELD("tcdm_banks", tcdm.num_banks, kPow2, 1, TcdmConfig::kMaxBanks),
-    SCH_SIM_FIELD("fast_arb", tcdm.fast_arb, kBool, 0, 1),
     SCH_SIM_FIELD("ssr_data_fifo_depth", ssr.data_fifo_depth, kInt, 1,
                   kMaxQueueDepth),
     SCH_SIM_FIELD("ssr_idx_queue_depth", ssr.idx_queue_depth, kInt, 1,

@@ -162,6 +162,10 @@ std::vector<std::string> actual_records() {
     rec.run("spin_budget", r, {kIss, kCycle, kBoth});
   }
   rec.program("off_text", "li a0, 1\n", {kIss, kCycle, kBoth});
+  rec.program("off_text_hart1",
+              "csrr t0, mhartid\nbnez t0, skip\necall\nskip:\n"
+              "addi t1, t1, 1\n",
+              {kIss, kCycle, kBoth}, 2);
   {
     ProgramBuilder b;
     b.nop();

@@ -1,15 +1,14 @@
-// Fast-path equivalence suite: both host-speed optimizations in the two
-// engines -- the ISS's threaded superblock dispatch (fast_dispatch) and the
-// TCDM bank-mask arbiter (tcdm.fast_arb) -- must be TIMING-INVISIBLE.
-// Each toggle is forced off individually against the all-on default and
-// the resulting RunReports must be bit-identical: cycles, the full
-// PerfCounters block (aggregate and per core), TCDM contention stats,
-// DMA stats, energy, ISS instruction counts and lockstep verdicts.
+// Fast-path equivalence suite: the ISS's threaded superblock dispatch
+// (fast_dispatch) must be TIMING-INVISIBLE. It is forced off against the
+// default and the resulting RunReports must be bit-identical: cycles, the
+// full PerfCounters block (aggregate and per core), TCDM contention stats,
+// DMA stats, energy, ISS instruction counts and lockstep verdicts. (The
+// TCDM bank arbiter has one implementation; tests/test_mem.cpp checks it
+// against a brute-force per-bank model.)
 //
 // Two workload sources:
 //  * a registry-kernel sample covering chaining, FREP, indirect streams,
-//    DMA double buffering and a 4-core cluster (which exercises the
-//    bank-mask arbiter under contention);
+//    DMA double buffering and a 4-core cluster;
 //  * pinned-seed differential-fuzz programs over the full block
 //    vocabulary, run exactly like the fuzz campaign (both engines in
 //    lockstep with full-memory compare).
@@ -24,18 +23,8 @@
 namespace sch::api {
 namespace {
 
-struct Toggles {
-  bool fast_dispatch;
-  bool fast_arb;
-};
-
-constexpr Toggles kAllOn{true, true};
-constexpr Toggles kNoDispatch{false, true};
-constexpr Toggles kNoFastArb{true, false};
-
-RunReport run_with(RunRequest request, const Toggles& t) {
-  request.config.fast_dispatch = t.fast_dispatch;
-  request.config.tcdm.fast_arb = t.fast_arb;
+RunReport run_with(RunRequest request, bool fast_dispatch) {
+  request.config.fast_dispatch = fast_dispatch;
   return run(request);
 }
 
@@ -98,11 +87,8 @@ void expect_identical(const RunReport& fast, const RunReport& slow,
 
 void expect_toggle_invisible(const RunRequest& request,
                              const std::string& label) {
-  const RunReport all_on = run_with(request, kAllOn);
-  expect_identical(all_on, run_with(request, kNoDispatch),
+  expect_identical(run_with(request, true), run_with(request, false),
                    label + " [fast_dispatch off]");
-  expect_identical(all_on, run_with(request, kNoFastArb),
-                   label + " [tcdm.fast_arb off]");
 }
 
 // --- registry-kernel sample --------------------------------------------------

@@ -1,6 +1,8 @@
 // Memory storage and TCDM bank-arbitration tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -180,6 +182,68 @@ TEST(Tcdm, ConfigurableBankCount) {
   t.begin_cycle();
   EXPECT_TRUE(t.request(TcdmPortId::kSsr0, memmap::kTcdmBase, false));
   EXPECT_FALSE(t.request(TcdmPortId::kSsr1, memmap::kTcdmBase + 32, false));
+}
+
+/// Brute-force reference for the bank arbiter: one busy flag per bank,
+/// all cleared every cycle, and an address's bank found by division.
+struct BankArbiterModel {
+  BankArbiterModel(u32 banks, u32 ports)
+      : busy(banks), grants(ports), port_conflicts(ports),
+        bank_conflicts(banks) {}
+
+  bool request(u32 port, Addr addr, bool is_write) {
+    const usize bank = (addr - memmap::kTcdmBase) / 8 % busy.size();
+    if (busy[bank]) {
+      ++conflicts;
+      ++port_conflicts[port];
+      ++bank_conflicts[bank];
+      return false;
+    }
+    busy[bank] = true;
+    ++grants[port];
+    ++(is_write ? writes : reads);
+    return true;
+  }
+
+  std::vector<bool> busy;
+  std::vector<u64> grants, port_conflicts, bank_conflicts;
+  u64 reads = 0, writes = 0, conflicts = 0;
+};
+
+TEST(Tcdm, MatchesPerBankReferenceModel) {
+  constexpr u32 kPorts = 2 * kTcdmPortsPerCore + 1;  // two cores and a DMA
+  std::mt19937 rng(23);
+  for (u32 banks = 1; banks <= TcdmConfig::kMaxBanks; banks *= 2) {
+    SCOPED_TRACE("banks=" + std::to_string(banks));
+    Tcdm tcdm(TcdmConfig{.num_banks = banks}, kPorts);
+    BankArbiterModel model(banks, kPorts);
+    for (u32 cycle = 0; cycle < 4000; ++cycle) {
+      tcdm.begin_cycle();
+      std::fill(model.busy.begin(), model.busy.end(), false);
+      if (rng() % 8 == 0) {
+        const u32 bank = rng() % (banks + 2);  // banks past the end: no-op
+        tcdm.force_bank_busy(bank);
+        if (bank < banks) model.busy[bank] = true;
+      }
+      for (u32 n = rng() % 12; n > 0; --n) {
+        const u32 port = rng() % kPorts;
+        const Addr addr = memmap::kTcdmBase + rng() % 4096;  // 8+ bank rows
+        const bool is_write = (rng() & 1) != 0;
+        ASSERT_EQ(tcdm.request(port, addr, is_write),
+                  model.request(port, addr, is_write))
+            << "cycle " << cycle << ", port " << port << ", addr 0x"
+            << std::hex << addr;
+      }
+    }
+    const TcdmStats& s = tcdm.stats();
+    EXPECT_GT(s.conflicts, 0u);
+    EXPECT_EQ(s.reads, model.reads);
+    EXPECT_EQ(s.writes, model.writes);
+    EXPECT_EQ(s.conflicts, model.conflicts);
+    EXPECT_EQ(s.grants_per_port, model.grants);
+    EXPECT_EQ(s.conflicts_per_port, model.port_conflicts);
+    EXPECT_EQ(s.conflicts_per_bank, model.bank_conflicts);
+  }
 }
 
 } // namespace

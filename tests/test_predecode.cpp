@@ -2,13 +2,15 @@
 // rs1/rs2/rs3 slots name, in that order, and each slot's index into them.
 // Both engines and the verifier read FP sources only through this plan, so
 // it alone decides which stream and chain registers an instruction pops
-// and how often (once per distinct register).
+// and how often (once per distinct register). Also the integer-operand and
+// FP-barrier flags the cycle engine's integer issue path reads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "isa/csr.hpp"
 #include "isa/encode.hpp"
 #include "isa/predecode.hpp"
 
@@ -141,6 +143,45 @@ TEST(Predecode, FrepBodyErrorNamesTheFirstDefect) {
   pre = pre_of({frep(2), frep(1), fadd});
   EXPECT_EQ(frep_body_error(pre, 0), "nested frep");
   EXPECT_EQ(pre[0].flags & preflag::kFrepBodyOk, 0);
+}
+
+TEST(Predecode, IntOperandFlags) {
+  const auto has = [](const PredecodedInstr& p, u8 bit) {
+    return (p.flags & bit) != 0;
+  };
+  u32 csr_rows = 0;
+  for (u16 m = 1; m < static_cast<u16>(Mnemonic::kCount); ++m) {
+    const auto mn = static_cast<Mnemonic>(m);
+    const MnemonicInfo& mi = info(mn);
+    SCOPED_TRACE(mi.name);
+    Instr in;
+    in.mn = mn;
+    in.rd = 5;
+    in.rs1 = 6;
+    in.rs2 = 7;
+    const PredecodedInstr p = predecode(in);
+    EXPECT_EQ(has(p, preflag::kRdInt), mi.rd == RegClass::kInt);
+    EXPECT_EQ(has(p, preflag::kRs1Int), mi.rs1 == RegClass::kInt);
+    EXPECT_EQ(has(p, preflag::kRs2Int), mi.rs2 == RegClass::kInt);
+    if (mi.exec != ExecClass::kCsr) {
+      EXPECT_EQ(has(p, preflag::kFpBarrier), mn == Mnemonic::kFence);
+      continue;
+    }
+    // A CSR access waits for the FP subsystem exactly when it names one of
+    // the stream/chaining CSRs.
+    ++csr_rows;
+    for (u32 addr = 0; addr < 0x1000; ++addr) {
+      in.imm = static_cast<i32>(addr);
+      EXPECT_EQ(has(predecode(in), preflag::kFpBarrier),
+                csr::is_stream_csr(addr))
+          << "csr 0x" << std::hex << addr;
+    }
+  }
+  EXPECT_EQ(csr_rows, 6u);
+  EXPECT_TRUE(csr::is_stream_csr(csr::kSsrEnable));
+  EXPECT_TRUE(csr::is_stream_csr(csr::kChainMask));
+  EXPECT_FALSE(csr::is_stream_csr(csr::kMhartid));
+  EXPECT_FALSE(csr::is_stream_csr(csr::kFcsr));
 }
 
 TEST(Predecode, IllegalEncodingMessagePrintsTheWordInHex) {

@@ -140,7 +140,6 @@ TEST(BuildCache, KeyCoversEveryTimingRelevantConfigField) {
        [](sim::SimConfig& c) { c.strict_chain_handoff = true; }},
       {"num_cores", [](sim::SimConfig& c) { c.num_cores = 2; }},
       {"tcdm.num_banks", [](sim::SimConfig& c) { c.tcdm.num_banks = 16; }},
-      {"tcdm.fast_arb", [](sim::SimConfig& c) { c.tcdm.fast_arb = !c.tcdm.fast_arb; }},
       {"ssr.data_fifo_depth",
        [](sim::SimConfig& c) { c.ssr.data_fifo_depth = 7; }},
       {"ssr.idx_queue_depth",

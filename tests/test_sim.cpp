@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hpp"
+#include "asm/builder.hpp"
+#include "isa/csr.hpp"
+#include "isa/encode.hpp"
 #include "iss/exec_semantics.hpp"
 #include "iss/iss.hpp"
 #include "mem/memory.hpp"
@@ -670,6 +673,138 @@ out: .zero 48
     csrwi ssr_enable, 0
     ecall
   )");
+}
+
+// --- The integer core's issue rule -------------------------------------------
+// An instruction issues once its ISA row's integer fields (rd, rs1, rs2) are
+// all free of pending writes, and its register-file reads are charged in the
+// cycle it issues.
+
+constexpr u8 kBusy = isa::kT6;
+
+/// One `mn` with every operand field its row lays out. Integer fields name
+/// a2/a3/a4 (rd/rs1/rs2) except field `busy_field` (0 rd, 1 rs1, 2 rs2; -1
+/// for none), which names kBusy; FP fields name fs0..fs3. The immediate
+/// encodes: a branch or jal lands on the next instruction, a frep body is
+/// one instruction, a CSR access names mhartid, everything else is 0.
+isa::Instr operand_instr(isa::Mnemonic mn, int busy_field) {
+  const isa::MnemonicInfo& mi = isa::info(mn);
+  const isa::RegClass classes[4] = {mi.rd, mi.rs1, mi.rs2, mi.rs3};
+  u8 regs[4] = {};
+  for (int f = 0; f < 4; ++f) {
+    if (classes[f] == isa::RegClass::kInt) {
+      regs[f] = f == busy_field ? kBusy : static_cast<u8>(isa::kA2 + f);
+    } else if (classes[f] == isa::RegClass::kFp) {
+      regs[f] = static_cast<u8>(8 + f);
+    }
+  }
+  isa::Instr in;
+  in.mn = mn;
+  in.rd = regs[0];
+  in.rs1 = regs[1];
+  in.rs2 = regs[2];
+  in.rs3 = regs[3];
+  if (mi.imm == isa::ImmKind::kB || mi.imm == isa::ImmKind::kJ) {
+    in.imm = 4;
+  } else if (mi.imm == isa::ImmKind::kCsr) {
+    in.imm = static_cast<i32>(isa::csr::kMhartid);
+  } else if (mi.exec == isa::ExecClass::kFrep) {
+    in.imm = 1;
+  }
+  in.raw = isa::encode(in);
+  return in;
+}
+
+/// Counters of `lw kBusy, 0(a1)` followed by `in`: kBusy is still pending
+/// when `in` reaches issue. Every other register reads 0, so `in` may fault
+/// once it issues (a load from address 0, a zero-size copy, a jump to 0);
+/// the issue decision before it is what the counters pin.
+sim::PerfCounters run_after_busy_load(const isa::Instr& in) {
+  ProgramBuilder b;
+  b.li(isa::kA1, static_cast<i64>(kD));
+  b.lw(kBusy, isa::kA1, 0);
+  b.emit(in);
+  if (in.meta().exec == isa::ExecClass::kFrep) {
+    b.emit(isa::make_r(isa::Mnemonic::kFaddD, 8, 9, 9));
+  }
+  b.ecall();
+  Memory mem;
+  sim::SimConfig cfg;
+  cfg.max_cycles = 10'000;
+  sim::Simulator s(b.build(), mem, cfg);
+  s.run();
+  return s.perf();
+}
+
+TEST(IntIssue, ScoreboardWaitsOnEveryIntegerField) {
+  u32 fields = 0;
+  for (u16 m = 1; m < static_cast<u16>(isa::Mnemonic::kCount); ++m) {
+    const auto mn = static_cast<isa::Mnemonic>(m);
+    const isa::MnemonicInfo& mi = isa::info(mn);
+    const isa::RegClass classes[3] = {mi.rd, mi.rs1, mi.rs2};
+    for (int f = -1; f < 3; ++f) {
+      if (f >= 0 && classes[f] != isa::RegClass::kInt) continue;
+      SCOPED_TRACE(std::string(mi.name) + (f < 0 ? ", busy register unnamed"
+                                                 : ", busy field " +
+                                                       std::to_string(f)));
+      const sim::PerfCounters perf = run_after_busy_load(operand_instr(mn, f));
+      if (f < 0) {
+        EXPECT_EQ(perf.stall_int_raw, 0u);
+      } else {
+        EXPECT_GT(perf.stall_int_raw, 0u);
+        ++fields;
+      }
+    }
+  }
+  EXPECT_GE(fields, 150u) << "every integer field of the ISA table";
+}
+
+/// Integer source fields (rs1, rs2) of the instructions of `p`.
+u64 int_source_fields(const Program& p) {
+  u64 n = 0;
+  for (const isa::Instr& in : p.instrs) {
+    n += (in.meta().rs1 == isa::RegClass::kInt ? 1 : 0) +
+         (in.meta().rs2 == isa::RegClass::kInt ? 1 : 0);
+  }
+  return n;
+}
+
+TEST(IntIssue, RegisterFileReadsChargedAtIssue) {
+  // Straight-line programs issue each instruction once, so their reads are
+  // their instructions' integer source fields however long each waits.
+  {
+    const Program p = prog(R"(
+      li a1, 0x10000000
+      li a2, 5
+      lw a0, 0(a1)
+      addi a0, a2, 1
+      ecall
+    )");
+    Memory mem;
+    const SimRun r = run_sim(p, mem);
+    ASSERT_EQ(r.halt, HaltReason::kEcall) << r.error;
+    EXPECT_GT(r.perf.stall_int_raw, 0u) << "addi waits on the load's a0";
+    EXPECT_EQ(r.perf.rf_int_reads, int_source_fields(p));
+  }
+  {
+    const Program p = prog(R"(
+      li t0, 0x10000000
+      li t1, 0x10001000
+      dmsrc t0
+      dmdst t1
+      li t2, 512
+      dmcpy a0, t2
+      dmcpy a1, t2
+      ecall
+    )");
+    sim::SimConfig cfg;
+    cfg.dma_queue_depth = 1;
+    Memory mem;
+    const SimRun r = run_sim(p, mem, cfg);
+    ASSERT_EQ(r.halt, HaltReason::kEcall) << r.error;
+    EXPECT_GT(r.perf.stall_dma_full, 0u) << "the second dmcpy waits";
+    EXPECT_EQ(r.perf.rf_int_reads, int_source_fields(p));
+  }
 }
 
 } // namespace
